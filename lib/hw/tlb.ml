@@ -29,9 +29,25 @@ type entry = {
    coherence oracle's full audit, INVLPG/span flushes, the occupancy
    probes shootdown filtering leans on — iterate the index instead of
    the capacity, so their cost tracks how full the table actually is
-   rather than how big it ever grew. *)
+   rather than how big it ever grew.
+
+   [nkeyed] is the occupancy index proper: per vpage bucket (the low
+   [index_bits] of the vpage), the number of non-global slots holding a
+   key, live or dead.  It is kept exact at every point where a slot
+   enters or leaves the key >= 0 state — the insert, the lazy reclaim
+   in [lookup_packed], the tombstones of [flush_page]/[flush_span], the
+   ASID purge and the rehash/purge rebuilds — so a zero bucket proves
+   that no non-global entry of any ASID caches a page of that bucket.
+   The span-shaped operations (occupancy probes, INVLPG, span flushes)
+   consult it first and skip the slot scan when every bucket of the
+   range is zero; a nonzero bucket only sends them to the scan, so the
+   index never approximates an answer.  A live entry always sits in a
+   keyed slot, so its bucket is nonzero: no shootdown can be filtered
+   past a TLB that still caches the span. *)
 
 let sweep_interval = 4096
+let index_bits = 8
+let index_mask = (1 lsl index_bits) - 1
 
 (* Packed-entry bits: the Pte layout, so the MMU can test permissions
    directly on the cached word.  A live entry always has [pk_p] set,
@@ -86,6 +102,7 @@ type t = {
   mutable used : int; (* occupied + tombstones: grow/compact trigger *)
   mutable occ : int array; (* slots ever occupied since last rebuild *)
   mutable nocc : int;
+  nkeyed : int array; (* vpage bucket -> keyed slots, live or dead *)
   (* global-entry table: keyed by vpage alone *)
   mutable gkeys : int array;
   mutable gvals : int array;
@@ -116,6 +133,7 @@ let create ?(epoch_limit = max_int) () =
     used = 0;
     occ = Array.make 2048 0;
     nocc = 0;
+    nkeyed = Array.make (index_mask + 1) 0;
     gkeys = mk_keys 128;
     gvals = Array.make 128 0;
     ggens = Array.make 128 0;
@@ -167,6 +185,28 @@ let find_slot keys mask key =
 let slot_live t ~asid i =
   t.eps.(i) = t.epoch && t.gns.(i) = gen t asid
 
+(* A packed key's vpage bucket: its low bits are the vpage's. *)
+let index_add t k d =
+  let b = k land index_mask in
+  t.nkeyed.(b) <- t.nkeyed.(b) + d
+
+(* Tombstone a keyed slot of the (asid, vpage) table. *)
+let kill_slot t i =
+  index_add t t.keys.(i) (-1);
+  t.keys.(i) <- -2
+
+(* Could any non-global slot (live or dead) hold a page of the span?
+   False proves none does; true means the span needs a scan.  Loops
+   rather than local recursive closures here and in the probes below:
+   they run once per peer per shootdown and must not allocate. *)
+let span_keyed t ~vpage ~count =
+  let n = min count (index_mask + 1) in
+  let i = ref 0 in
+  while !i < n && t.nkeyed.((vpage + !i) land index_mask) = 0 do
+    incr i
+  done;
+  !i < n
+
 (* --- (asid, vpage) table internals --------------------------------- *)
 
 let rehash t cap =
@@ -177,6 +217,7 @@ let rehash t cap =
   let mask = cap - 1 in
   let used = ref 0 in
   let old = t.keys in
+  Array.fill t.nkeyed 0 (index_mask + 1) 0;
   for i = 0 to Array.length old - 1 do
     let k = old.(i) in
     if k >= 0 && slot_live t ~asid:(k lsr vpage_bits) i then begin
@@ -189,6 +230,7 @@ let rehash t cap =
       vals.(!j) <- t.vals.(i);
       eps.(!j) <- t.eps.(i);
       gns.(!j) <- t.gns.(i);
+      index_add t k 1;
       incr used
     end
   done;
@@ -276,7 +318,7 @@ let lookup_packed t ~asid ~vpage =
         t.vals.(i)
       end
       else begin
-        t.keys.(i) <- -2 (* stale slot: reclaim *);
+        kill_slot t i (* stale slot: reclaim *);
         miss
       end
     else miss
@@ -345,7 +387,8 @@ let insert_packed t ~asid ~vpage w =
          t.occ.(t.nocc) <- i;
          t.nocc <- t.nocc + 1
        end;
-       t.keys.(i) <- key
+       t.keys.(i) <- key;
+       index_add t key 1
      end;
      t.vals.(i) <- w;
      t.eps.(i) <- t.epoch;
@@ -398,6 +441,7 @@ let iter_live t ~f =
 
 let purge_table t =
   Array.fill t.keys 0 (Array.length t.keys) (-1);
+  Array.fill t.nkeyed 0 (index_mask + 1) 0;
   t.used <- 0;
   t.nocc <- 0
 
@@ -433,27 +477,30 @@ let flush_asid t ~asid =
     for n = 0 to t.nocc - 1 do
       let i = occ.(n) in
       let k = keys.(i) in
-      if k >= 0 && k lsr vpage_bits = asid then keys.(i) <- -2
+      if k >= 0 && k lsr vpage_bits = asid then kill_slot t i
     done;
     t.gens.(asid) <- 0
   end
   else t.gens.(asid) <- g
 
-(* INVLPG invalidates the page in every PCID and in the globals — an
-   occupancy-index scan here, but it models a single-page hardware op
-   and is the hook shootdowns rely on for cross-ASID coherence. *)
+(* INVLPG invalidates the page in every PCID and in the globals: it
+   models a single-page hardware op and is the hook shootdowns rely on
+   for cross-ASID coherence.  The non-global part is an occupancy-index
+   scan, skipped outright when the page's bucket is empty. *)
 let gremove t vpage =
   let gi = find_slot t.gkeys t.gmask vpage in
   if gi >= 0 then t.gkeys.(gi) <- -2
 
 let flush_page t ~vpage =
   t.flushes <- t.flushes + 1;
-  let keys = t.keys and occ = t.occ in
-  for n = 0 to t.nocc - 1 do
-    let i = occ.(n) in
-    let k = keys.(i) in
-    if k >= 0 && k land vpage_mask = vpage then keys.(i) <- -2
-  done;
+  if span_keyed t ~vpage ~count:1 then begin
+    let keys = t.keys and occ = t.occ in
+    for n = 0 to t.nocc - 1 do
+      let i = occ.(n) in
+      let k = keys.(i) in
+      if k >= 0 && k land vpage_mask = vpage then kill_slot t i
+    done
+  end;
   gremove t vpage
 
 (* Range variant of [flush_page]: one scan instead of [count], for the
@@ -462,15 +509,17 @@ let flush_page t ~vpage =
 let flush_span t ~vpage ~count =
   t.flushes <- t.flushes + 1;
   let last = vpage + count - 1 in
-  let keys = t.keys and occ = t.occ in
-  for n = 0 to t.nocc - 1 do
-    let i = occ.(n) in
-    let k = keys.(i) in
-    if k >= 0 then begin
-      let vp = k land vpage_mask in
-      if vp >= vpage && vp <= last then keys.(i) <- -2
-    end
-  done;
+  if span_keyed t ~vpage ~count then begin
+    let keys = t.keys and occ = t.occ in
+    for n = 0 to t.nocc - 1 do
+      let i = occ.(n) in
+      let k = keys.(i) in
+      if k >= 0 then begin
+        let vp = k land vpage_mask in
+        if vp >= vpage && vp <= last then kill_slot t i
+      end
+    done
+  end;
   for vp = vpage to last do
     gremove t vp
   done
@@ -479,20 +528,24 @@ let flush_span t ~vpage ~count =
    span (any ASID, globals included) / any live entry under [asid]?
    Host-side bookkeeping for shootdown targeting — the simulator plays
    the omniscient interconnect here, so probing charges nothing and
-   must stay side-effect-free (no reclamation, no hit/miss counts). *)
+   must stay side-effect-free (no reclamation, no hit/miss counts).
+   Globals take one hashed lookup per page; the non-global table is
+   scanned only when the index cannot rule the span out, and every scan
+   stops at the first live hit. *)
 let holds_span t ~vpage ~count =
   let last = vpage + count - 1 in
   let found = ref false in
-  let gkeys = t.gkeys and gocc = t.gocc in
-  for n = 0 to t.ngocc - 1 do
-    let i = gocc.(n) in
-    let k = gkeys.(i) in
-    if k >= vpage && k <= last && t.ggens.(i) = t.global_gen then found := true
+  let vp = ref vpage in
+  while (not !found) && !vp <= last do
+    let gi = find_slot t.gkeys t.gmask !vp in
+    if gi >= 0 && t.ggens.(gi) = t.global_gen then found := true;
+    incr vp
   done;
-  if not !found then begin
+  if (not !found) && span_keyed t ~vpage ~count then begin
     let keys = t.keys and occ = t.occ in
-    for n = 0 to t.nocc - 1 do
-      let i = occ.(n) in
+    let n = ref 0 in
+    while (not !found) && !n < t.nocc do
+      let i = occ.(!n) in
       let k = keys.(i) in
       if k >= 0 then begin
         let vp = k land vpage_mask in
@@ -500,7 +553,8 @@ let holds_span t ~vpage ~count =
           vp >= vpage && vp <= last
           && slot_live t ~asid:(k lsr vpage_bits) i
         then found := true
-      end
+      end;
+      incr n
     done
   end;
   !found
@@ -508,11 +562,13 @@ let holds_span t ~vpage ~count =
 let holds_asid t ~asid =
   let found = ref false in
   let keys = t.keys and occ = t.occ in
-  for n = 0 to t.nocc - 1 do
-    let i = occ.(n) in
+  let n = ref 0 in
+  while (not !found) && !n < t.nocc do
+    let i = occ.(!n) in
     let k = keys.(i) in
     if k >= 0 && k lsr vpage_bits = asid && slot_live t ~asid i then
-      found := true
+      found := true;
+    incr n
   done;
   !found
 

@@ -9,8 +9,13 @@
 
     Entries are tagged with the address-space identifier (the PCID on
     x86 with CR4.PCIDE) active when they were filled; global entries
-    are shared across all ASIDs and survive [flush_all].  Flushes are
-    O(1) generation bumps; stale slots are reclaimed lazily.
+    are shared across all ASIDs and survive [flush_all].  Full, ASID
+    and global flushes are O(1) generation bumps; stale slots are
+    reclaimed lazily.  INVLPG and span flushes remove entries of every
+    ASID, which costs a scan of the occupied slots — unless the
+    occupancy index (per-vpage-bucket counts of occupied non-global
+    slots) shows that no slot can hold the range, in which case they
+    cost one global-table lookup per page.
 
     The store is an open-addressed flat [int array] table — keys are
     [asid lsl 36 lor vpage], cached translations single words in the
@@ -103,23 +108,31 @@ val flush_global_too : t -> unit
     shootdown of kernel mappings needs.  O(1). *)
 
 val flush_page : t -> vpage:int -> unit
-(** INVLPG: invalidate the page in every ASID and in the global set. *)
+(** INVLPG: invalidate the page in every ASID and in the global set.
+    O(occupied slots), or O(1) when the occupancy index rules the page
+    out. *)
 
 val flush_span : t -> vpage:int -> count:int -> unit
 (** Invalidate [count] consecutive pages starting at [vpage], in every
     ASID and in the global set — the range shootdown a protection
     downgrade of a 2 MiB leaf needs, since its 512 constituent 4 KiB
-    translations are cached individually. *)
+    translations are cached individually.  O([count] + occupied slots),
+    or O([count]) when the occupancy index rules the span out. *)
 
 val holds_span : t -> vpage:int -> count:int -> bool
 (** Does any live entry (any ASID, globals included) cover a page in
     [vpage .. vpage + count - 1]?  Side-effect-free, charges nothing:
     shootdown targeting uses it as the parked-TLB occupancy backstop,
-    so filtering can never skip a CPU that still caches the span. *)
+    so filtering can never skip a CPU that still caches the span.
+    One global-table lookup per page, plus a scan of the occupied
+    slots (stopping at the first live hit) only when the occupancy
+    index cannot rule the span out.  The index is exact, so the
+    answer never depends on it. *)
 
 val holds_asid : t -> asid:int -> bool
 (** Does any live non-global entry exist under [asid]?  Side-effect-free
-    occupancy probe for ASID-scoped shootdowns. *)
+    occupancy probe for ASID-scoped shootdowns; scans the occupied
+    slots and stops at the first live hit. *)
 
 val hits : t -> int
 val misses : t -> int

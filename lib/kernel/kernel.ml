@@ -15,7 +15,6 @@ type t = {
   syscall_table : Syscall_table.t;
   handlers : (int, handler) Hashtbl.t;
   arg_specs : Ktypes.arg_kind list option array;
-  span_cache : Nktrace.span array;
   syslog : syscall_log option;
   procs : (Ktypes.pid, Proc.t) Hashtbl.t;
   smp : Smp.t;
@@ -289,9 +288,6 @@ let boot ?(frames = 8192) ?(batched = false) ?(pcid = true)
       syscall_table;
       handlers = Hashtbl.create 64;
       arg_specs = Array.make Ktypes.max_syscall None;
-      span_cache =
-        Array.init Ktypes.max_syscall (fun i ->
-            Nktrace.Syscall_dispatch (Ktypes.syscall_name i));
       syslog;
       procs = Hashtbl.create 64;
       smp;
@@ -589,17 +585,21 @@ let register_argspec t ~sysno spec =
    copyin, credential checks, table indexing. *)
 let cost_dispatch = 140
 
+let dispatch_span sysno =
+  Nktrace.span_id (Nktrace.Syscall_dispatch (Ktypes.syscall_name sysno))
+
+let dispatch_spans = Array.init Ktypes.max_syscall dispatch_span
+
 let syscall t (p : Proc.t) sysno args =
   (* Per-syscall dispatch-latency span: covers the roundtrip charge,
      table lookup, handler body and log events, so the histogram keyed
      ["sys_<name>"] is the end-to-end cycle cost of one invocation.
-     Span values for in-range numbers come from the boot-time cache —
-     no per-call variant or name allocation. *)
+     In-range numbers take their span id from a table built once at
+     start-up; only a bogus number interns its span per call. *)
   let tr = t.machine.Machine.trace in
   let sp =
-    if sysno >= 0 && sysno < Array.length t.span_cache then
-      t.span_cache.(sysno)
-    else Nktrace.Syscall_dispatch (Ktypes.syscall_name sysno)
+    if sysno >= 0 && sysno < Ktypes.max_syscall then dispatch_spans.(sysno)
+    else dispatch_span sysno
   in
   Nktrace.span_begin tr sp;
   Machine.charge t.machine

@@ -25,10 +25,6 @@ type t = {
       (** per-syscall argument specs checked by the dispatcher, indexed
           by syscall number (flat array: the steady-state lookup
           allocates nothing) *)
-  span_cache : Nktrace.span array;
-      (** boot-built [Syscall_dispatch] span per syscall number, so
-          dispatch tracing reuses one span value instead of consing a
-          variant (and its name) per call *)
   syslog : syscall_log option;  (** Append_only configuration *)
   procs : (Ktypes.pid, Proc.t) Hashtbl.t;
   smp : Smp.t;  (** per-CPU contexts, mailboxes and the executor substrate *)

@@ -189,6 +189,10 @@ let audit_peer_wp (m : Machine.t) t =
         t.wp_isolation_failures <- t.wp_isolation_failures + 1)
     m.Machine.peer_crs
 
+let span_enter = Nktrace.span_id Nktrace.Gate_enter
+let span_exit = Nktrace.span_id Nktrace.Gate_exit
+let span_crossing = Nktrace.span_id Nktrace.Gate_crossing
+
 (* The denial fires before any crossing state is touched: no span is
    opened, no crossing counted, WP and the stack are exactly as the
    caller left them — the refused call simply never happened, which is
@@ -197,7 +201,7 @@ let enter (m : Machine.t) t =
   if Nkinject.fire_opt t.inject Nkinject.Gate_denied then Error Denied
   else begin
   t.crossings <- t.crossings + 1;
-  Nktrace.span_begin m.Machine.trace Nktrace.Gate_enter;
+  Nktrace.span_begin m.Machine.trace span_enter;
   let cpu = m.Machine.cpu in
   let result =
     if want_interpretation t || t.entry_cost = None then begin
@@ -222,7 +226,7 @@ let enter (m : Machine.t) t =
       Ok `Fast
     end
   in
-  Nktrace.span_end m.Machine.trace Nktrace.Gate_enter;
+  Nktrace.span_end m.Machine.trace span_enter;
   match result with
   | Ok _ ->
       m.Machine.in_nested_kernel <- true;
@@ -230,13 +234,13 @@ let enter (m : Machine.t) t =
       Machine.count_ev m Nktrace.Nk_enter;
       (* The crossing span stays open across the nested-kernel body and
          is closed by the matching exit. *)
-      Nktrace.span_begin m.Machine.trace Nktrace.Gate_crossing;
+      Nktrace.span_begin m.Machine.trace span_crossing;
       Ok ()
   | Error e -> Error e
   end
 
 let exit_ (m : Machine.t) t =
-  Nktrace.span_begin m.Machine.trace Nktrace.Gate_exit;
+  Nktrace.span_begin m.Machine.trace span_exit;
   let cpu = m.Machine.cpu in
   (* An exit must mirror its matching enter {e on this CPU}: a
      fast-path enter left no state in simulated memory, so its exit
@@ -264,12 +268,12 @@ let exit_ (m : Machine.t) t =
       Ok ()
     end
   in
-  Nktrace.span_end m.Machine.trace Nktrace.Gate_exit;
+  Nktrace.span_end m.Machine.trace span_exit;
   match result with
   | Ok () ->
       m.Machine.in_nested_kernel <- false;
       audit_peer_wp m t;
-      Nktrace.span_end m.Machine.trace Nktrace.Gate_crossing;
+      Nktrace.span_end m.Machine.trace span_crossing;
       Ok ()
   | Error e -> Error e
 

@@ -7,13 +7,22 @@ let hw_result = function Ok v -> Ok v | Error f -> Error (Nk_error.Hardware f)
 (* Wrap one vMMU operation in a tracing span covering the whole call,
    gate crossings included.  Out-of-band: charges nothing, and is a
    single boolean test while tracing is disabled. *)
-let traced (st : State.t) op f =
+let traced (st : State.t) sp f =
   let tr = st.machine.Machine.trace in
-  let sp = Nktrace.Vmmu_op op in
   Nktrace.span_begin tr sp;
   let r = f () in
   Nktrace.span_end tr sp;
   r
+
+let vmmu_span op = Nktrace.span_id (Nktrace.Vmmu_op op)
+let span_write_pte = vmmu_span "write_pte"
+let span_write_pte_batch = vmmu_span "write_pte_batch"
+let span_declare_ptp = vmmu_span "declare_ptp"
+let span_remove_ptp = vmmu_span "remove_ptp"
+let shootdown_span scope = Nktrace.span_id (Nktrace.Shootdown scope)
+let span_shoot_page = shootdown_span "page"
+let span_shoot_span = shootdown_span "span"
+let span_shoot_all = shootdown_span "all"
 
 (* An entry in a level-L table is a leaf translation if L = 1, or if
    L = 2 with the large-page bit set; otherwise it links a child PTP. *)
@@ -278,7 +287,7 @@ let issue_spans (st : State.t) ~scope spans =
   let tr = m.Machine.trace in
   List.iter
     (fun (vpage, count) ->
-      let sp = Nktrace.Shootdown (if count = 1 then "page" else "span") in
+      let sp = if count = 1 then span_shoot_page else span_shoot_span in
       Nktrace.span_begin tr sp;
       if count = 1 then Machine.shootdown_page ~scope m ~vpage
       else Machine.shootdown_span ~scope m ~vpage ~count;
@@ -288,10 +297,9 @@ let issue_spans (st : State.t) ~scope spans =
 let issue_all (st : State.t) =
   let m = st.machine in
   let tr = m.Machine.trace in
-  let sp = Nktrace.Shootdown "all" in
-  Nktrace.span_begin tr sp;
+  Nktrace.span_begin tr span_shoot_all;
   Machine.shootdown_all m;
-  Nktrace.span_end tr sp
+  Nktrace.span_end tr span_shoot_all
 
 (* --- deferred (lazy) unmap invalidation --------------------------- *)
 
@@ -508,7 +516,7 @@ let check_ptp (st : State.t) ptp =
   | None -> Error (Nk_error.Not_a_ptp ptp)
 
 let write_pte st ~ptp ~index pte =
-  traced st "write_pte" (fun () ->
+  traced st span_write_pte (fun () ->
       State.with_gate st (fun () ->
           let* level = check_ptp st ptp in
           let* () = check_owner st ~op:"write_pte" ptp in
@@ -517,7 +525,7 @@ let write_pte st ~ptp ~index pte =
           apply_update st ~ptp ~index ~level fresh))
 
 let write_pte_batch st updates =
-  traced st "write_pte_batch" (fun () ->
+  traced st span_write_pte_batch (fun () ->
       State.with_gate st (fun () ->
           (* Prefix-applied semantics: tuples before a rejected one stay
              applied; the error says exactly which tuple stopped the
@@ -547,7 +555,7 @@ let write_pte_batch st updates =
             (fun () -> go 0 updates)))
 
 let declare_ptp st ~level frame =
-  traced st "declare_ptp" @@ fun () ->
+  traced st span_declare_ptp @@ fun () ->
   State.with_gate st (fun () ->
       let m = st.machine in
       if level < 1 || level > 4 then
@@ -622,7 +630,7 @@ let declare_ptp st ~level frame =
             end)
 
 let remove_ptp st frame =
-  traced st "remove_ptp" @@ fun () ->
+  traced st span_remove_ptp @@ fun () ->
   State.with_gate st (fun () ->
       let m = st.machine in
       let* level = check_ptp st frame in

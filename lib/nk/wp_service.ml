@@ -114,6 +114,8 @@ let free st (wd : State.wd) =
         Ok ()
       end)
 
+let span_write = Nktrace.span_id Nktrace.Wp_write
+
 let write st (wd : State.wd) ~dest data =
   let size = Bytes.length data in
   if not wd.State.wd_active then Error Nk_error.Descriptor_inactive
@@ -123,7 +125,7 @@ let write st (wd : State.wd) ~dest data =
   then Error (Nk_error.Bad_bounds { dest; size })
   else begin
     let tr = st.State.machine.Machine.trace in
-    Nktrace.span_begin tr Nktrace.Wp_write;
+    Nktrace.span_begin tr span_write;
     let r =
       State.with_gate st (fun () ->
           let m = st.machine in
@@ -150,7 +152,7 @@ let write st (wd : State.wd) ~dest data =
                   Machine.count_ev m Nktrace.Nk_write;
                   Ok ()))
     in
-    Nktrace.span_end tr Nktrace.Wp_write;
+    Nktrace.span_end tr span_write;
     r
   end
 

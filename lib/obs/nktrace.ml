@@ -134,6 +134,33 @@ let span_name = function
   | Wp_write -> "wp_write"
   | Syscall_dispatch name -> "sys_" ^ name
 
+(* Span values are interned once into a process-wide registry that
+   hands out dense ids; a call site resolves its span at module
+   initialisation or boot and passes the id from then on.  The id names
+   the ring code, the per-(id, cpu) open stack and the per-tracer
+   histogram slot, so a begin/end pair indexes flat arrays only — no
+   hashing of the string-carrying span value, no allocation.  Ids never
+   reach the output (events and histograms render the span's name), so
+   the order in which spans get interned changes nothing observable. *)
+type span_id = int
+
+let span_ids : (span, int) Hashtbl.t = Hashtbl.create 64
+let span_vals = ref [||] (* id -> span value *)
+
+let span_id sp =
+  match Hashtbl.find span_ids sp with
+  | id -> id
+  | exception Not_found ->
+      let id = Hashtbl.length span_ids in
+      if id >= Array.length !span_vals then begin
+        let nv = Array.make (max 16 (2 * id)) sp in
+        Array.blit !span_vals 0 nv 0 id;
+        span_vals := nv
+      end;
+      !span_vals.(id) <- sp;
+      Hashtbl.add span_ids sp id;
+      id
+
 (* Dense indices for the static counters, in declaration order.  The
    hot [count] path bumps a flat int array slot instead of hashing a
    name string — no [Some] box from [Hashtbl.find_opt], no string —
@@ -255,8 +282,11 @@ type hist = {
 
 (* One open-span stack: begin cycles for the spans currently open under
    one (span, cpu) pair, flat ints — pushing and popping a span frame
-   allocates nothing once the stack exists. *)
+   allocates nothing once the stack exists.  [no_stack] stands in for a
+   pair that has never begun a span; it is never pushed onto. *)
 type stack = { mutable sp_starts : int array; mutable sp_depth : int }
+
+let no_stack = { sp_starts = [||]; sp_depth = 0 }
 
 (* The ring is stored as parallel int planes rather than an array of
    boxed records: recording an event while tracing is on writes six
@@ -289,14 +319,12 @@ type t = {
   ctouched : bool array; (* ever bumped (net-zero counters still report) *)
   ccustom : (string, int ref) Hashtbl.t; (* Custom counters (cold) *)
   hists : (string, hist) Hashtbl.t;
-  span_ids : (span, int) Hashtbl.t; (* span value -> interned id *)
-  mutable span_vals : span array; (* id -> span value *)
-  mutable span_hists : hist option array; (* id -> histogram, once ended *)
-  mutable span_count : int;
+  mutable span_hists : hist option array; (* span id -> histogram, once ended *)
   str_ids : (string, int) Hashtbl.t; (* mark / custom-counter names *)
   mutable str_vals : string array;
   mutable str_count : int;
-  open_spans : (int, stack) Hashtbl.t; (* (span id lsl 16) lor cpu *)
+  mutable stacks : stack array; (* (span id * stack_cpus + cpu) -> open stack *)
+  mutable stack_cpus : int; (* CPUs one span id's row covers *)
 }
 
 let create ?(ring_capacity = 4096) ?(hist_capacity = 1024) () =
@@ -320,14 +348,12 @@ let create ?(ring_capacity = 4096) ?(hist_capacity = 1024) () =
     ctouched = Array.make n_counters false;
     ccustom = Hashtbl.create 16;
     hists = Hashtbl.create 16;
-    span_ids = Hashtbl.create 16;
-    span_vals = [||];
     span_hists = [||];
-    span_count = 0;
     str_ids = Hashtbl.create 16;
     str_vals = [||];
     str_count = 0;
-    open_spans = Hashtbl.create 8;
+    stacks = [||];
+    stack_cpus = 1;
   }
 
 let set_now t f = t.now <- f
@@ -345,11 +371,8 @@ let clear t =
   Array.fill t.ctouched 0 n_counters false;
   Hashtbl.reset t.ccustom;
   Hashtbl.reset t.hists;
-  Hashtbl.reset t.open_spans;
-  Hashtbl.reset t.span_ids;
-  t.span_vals <- [||];
+  Array.iter (fun st -> st.sp_depth <- 0) t.stacks;
   t.span_hists <- [||];
-  t.span_count <- 0;
   Hashtbl.reset t.str_ids;
   t.str_vals <- [||];
   t.str_count <- 0
@@ -453,49 +476,44 @@ let observe t name v =
 
 let mark t name = if t.enabled then push t k_mark (intern_str t name) 0
 
-(* Span values are interned to a dense id on first use; the id names
-   the ring code, the per-CPU open stack and the (lazily-registered)
-   histogram, so a steady-state begin/end pair does one hash lookup on
-   the span value and one on the packed (id, cpu) key — no string
-   concatenation, no list cons, no option box. *)
-let intern_span t sp =
-  match Hashtbl.find t.span_ids sp with
-  | id -> id
-  | exception Not_found ->
-      let id = t.span_count in
-      if id >= Array.length t.span_vals then begin
-        let n = max 8 (2 * (id + 1)) in
-        let nv = Array.make n sp and nh = Array.make n None in
-        Array.blit t.span_vals 0 nv 0 id;
-        Array.blit t.span_hists 0 nh 0 id;
-        t.span_vals <- nv;
-        t.span_hists <- nh
-      end;
-      t.span_vals.(id) <- sp;
-      t.span_hists.(id) <- None;
-      t.span_count <- id + 1;
-      Hashtbl.add t.span_ids sp id;
-      id
-
 (* Open spans pair per CPU: a span begun on CPU 2 can only be closed
    by an end observed on CPU 2, so concurrent gate crossings on
    different CPUs each time their own enter/exit pair even when the
    executor interleaves them.  Durations still land in one shared
    histogram per span name. *)
-let stack_key sid cpu = (sid lsl 16) lor (cpu land 0xffff)
+let stack_of t sid cpu =
+  let i = (sid * t.stack_cpus) + cpu in
+  if cpu < t.stack_cpus && i < Array.length t.stacks then t.stacks.(i)
+  else no_stack
 
-let stack_for t key =
-  match Hashtbl.find t.open_spans key with
-  | s -> s
-  | exception Not_found ->
-      let s = { sp_starts = Array.make 8 0; sp_depth = 0 } in
-      Hashtbl.add t.open_spans key s;
-      s
+(* First begin of a (span, cpu) pair: give it a stack, widening the
+   rows or adding span ids to the layout as needed. *)
+let new_stack t sid cpu =
+  let cpus = ref t.stack_cpus in
+  while cpu >= !cpus do
+    cpus := 2 * !cpus
+  done;
+  let old_ids = Array.length t.stacks / t.stack_cpus in
+  let ids = max old_ids (max 8 (2 * sid)) in
+  if !cpus <> t.stack_cpus || ids <> old_ids then begin
+    let a = Array.make (ids * !cpus) no_stack in
+    Array.iteri
+      (fun i st -> a.((i / t.stack_cpus * !cpus) + (i mod t.stack_cpus)) <- st)
+      t.stacks;
+    t.stacks <- a;
+    t.stack_cpus <- !cpus
+  end;
+  let st = { sp_starts = Array.make 8 0; sp_depth = 0 } in
+  t.stacks.((sid * t.stack_cpus) + cpu) <- st;
+  st
 
-let span_begin t sp =
+let span_begin t sid =
   if t.enabled then begin
-    let sid = intern_span t sp in
-    let st = stack_for t (stack_key sid t.cpu) in
+    let st =
+      match stack_of t sid t.cpu with
+      | st when st == no_stack -> new_stack t sid t.cpu
+      | st -> st
+    in
     let d = st.sp_depth in
     if d >= Array.length st.sp_starts then begin
       let nv = Array.make (2 * (d + 1)) 0 in
@@ -507,30 +525,33 @@ let span_begin t sp =
     push t k_begin sid 0
   end
 
+(* Histograms register at a span's first end, not its first begin, so
+   begun-but-never-ended spans do not appear in the output. *)
 let span_hist t sid =
-  match t.span_hists.(sid) with
+  match if sid < Array.length t.span_hists then t.span_hists.(sid) else None with
   | Some h -> h
   | None ->
-      let h = hist_of t (span_name t.span_vals.(sid)) in
+      let n = Array.length t.span_hists in
+      if sid >= n then begin
+        let nh = Array.make (max 16 (2 * sid)) None in
+        Array.blit t.span_hists 0 nh 0 n;
+        t.span_hists <- nh
+      end;
+      let h = hist_of t (span_name !span_vals.(sid)) in
       t.span_hists.(sid) <- Some h;
       h
 
-let span_end t sp =
+let span_end t sid =
   if t.enabled then begin
-    (* unmatched ends (never-begun span, empty stack) are ignored *)
-    match Hashtbl.find t.span_ids sp with
-    | exception Not_found -> ()
-    | sid -> (
-        match Hashtbl.find t.open_spans (stack_key sid t.cpu) with
-        | exception Not_found -> ()
-        | st ->
-            if st.sp_depth > 0 then begin
-              let d = st.sp_depth - 1 in
-              st.sp_depth <- d;
-              let dur = t.now () - st.sp_starts.(d) in
-              hist_observe_h (span_hist t sid) dur;
-              push t k_end sid dur
-            end)
+    (* unmatched ends (never-begun pair, empty stack) are ignored *)
+    let st = stack_of t sid t.cpu in
+    if st.sp_depth > 0 then begin
+      let d = st.sp_depth - 1 in
+      st.sp_depth <- d;
+      let dur = t.now () - st.sp_starts.(d) in
+      hist_observe_h (span_hist t sid) dur;
+      push t k_end sid dur
+    end
   end
 
 let summarize h =
@@ -581,8 +602,8 @@ let event_of t idx =
   let kind = t.r_kind.(idx) in
   if kind = k_count then Count all_counters.(code)
   else if kind = k_count_custom then Count (Custom t.str_vals.(code))
-  else if kind = k_begin then Span_begin t.span_vals.(code)
-  else if kind = k_end then Span_end (t.span_vals.(code), t.r_arg.(idx))
+  else if kind = k_begin then Span_begin !span_vals.(code)
+  else if kind = k_end then Span_end (!span_vals.(code), t.r_arg.(idx))
   else Mark t.str_vals.(code)
 
 let snapshot t =

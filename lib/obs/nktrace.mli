@@ -91,7 +91,8 @@ type counter =
 val counter_name : counter -> string
 
 (** Spans: scoped begin/end pairs.  Each completed span records its
-    cycle duration into the histogram keyed by [span_name]. *)
+    cycle duration into the histogram keyed by [span_name].  Spans are
+    begun and ended through their {!span_id}. *)
 type span =
   | Gate_crossing  (** outer-kernel call: entry gate to exit gate *)
   | Gate_enter  (** the entry-gate sequence itself *)
@@ -103,6 +104,17 @@ type span =
   | Syscall_dispatch of string  (** dispatch+handler for one syscall *)
 
 val span_name : span -> string
+
+type span_id
+(** A span resolved to a dense id.  Ids come from one process-wide
+    registry and stay valid for every tracer, so a call site resolves
+    its span once — at module initialisation or boot — and each
+    {!span_begin}/{!span_end} after that indexes flat arrays: no
+    hashing, no allocation. *)
+
+val span_id : span -> span_id
+(** The id of [span]; equal spans share one.  Hashes the span value,
+    so it belongs off the hot path. *)
 
 type event =
   | Count of counter
@@ -168,9 +180,9 @@ val count : t -> counter -> unit
 val count_n : t -> counter -> int -> unit
 val counter_value : t -> counter -> int
 
-val span_begin : t -> span -> unit
+val span_begin : t -> span_id -> unit
 
-val span_end : t -> span -> unit
+val span_end : t -> span_id -> unit
 (** Close the innermost open span with the same name begun {e on the
     current CPU} (spans pair per CPU, so interleaved crossings on
     different CPUs time independently); its duration is recorded into

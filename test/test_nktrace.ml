@@ -17,8 +17,9 @@ let test_disabled_is_noop () =
   let t = Nktrace.create () in
   Nktrace.count t Nktrace.Syscall;
   Nktrace.observe t "lat" 42;
-  Nktrace.span_begin t Nktrace.Gate_enter;
-  Nktrace.span_end t Nktrace.Gate_enter;
+  let enter = Nktrace.span_id Nktrace.Gate_enter in
+  Nktrace.span_begin t enter;
+  Nktrace.span_end t enter;
   Nktrace.mark t "m";
   let snap = Nktrace.snapshot t in
   Alcotest.(check int) "no events" 0 (List.length snap.Nktrace.events);
@@ -106,16 +107,17 @@ let test_span_pairing () =
   let now, src = manual_clock () in
   Nktrace.set_now t src;
   Nktrace.enable t;
+  let crossing = Nktrace.span_id Nktrace.Gate_crossing in
   (* Same-name spans nest LIFO: outer 100 cycles, inner 10. *)
-  Nktrace.span_begin t Nktrace.Gate_crossing;
+  Nktrace.span_begin t crossing;
   now := 45;
-  Nktrace.span_begin t Nktrace.Gate_crossing;
+  Nktrace.span_begin t crossing;
   now := 55;
-  Nktrace.span_end t Nktrace.Gate_crossing;
+  Nktrace.span_end t crossing;
   now := 100;
-  Nktrace.span_end t Nktrace.Gate_crossing;
+  Nktrace.span_end t crossing;
   (* Unmatched end is silently ignored. *)
-  Nktrace.span_end t Nktrace.Gate_crossing;
+  Nktrace.span_end t crossing;
   (match Nktrace.histogram t "gate_crossing" with
   | None -> Alcotest.fail "histogram missing"
   | Some h ->
@@ -129,6 +131,39 @@ let test_span_pairing () =
       (Nktrace.snapshot t).Nktrace.events
   in
   Alcotest.(check int) "unmatched end recorded nothing" 2 (List.length ends)
+
+(* Begin/end resolve everything through the span id: once a (span,
+   cpu) pair has its open stack and histogram, a traced pair writes a
+   few ints and allocates nothing — for the payload-carrying spans the
+   vMMU, the shootdown path and syscall dispatch use on every call. *)
+let test_span_path_allocates_nothing () =
+  let t = Nktrace.create () in
+  let now, src = manual_clock () in
+  Nktrace.set_now t src;
+  Nktrace.enable t;
+  List.iter
+    (fun span ->
+      let sp = Nktrace.span_id span in
+      Nktrace.span_begin t sp;
+      Nktrace.span_end t sp;
+      let w0 = Gc.minor_words () in
+      for i = 1 to 10_000 do
+        Nktrace.span_begin t sp;
+        now := i;
+        Nktrace.span_end t sp
+      done;
+      let words = Gc.minor_words () -. w0 in
+      Alcotest.(check (float 0.))
+        (Nktrace.span_name span ^ ": minor words after the first pair")
+        0. words;
+      match Nktrace.histogram t (Nktrace.span_name span) with
+      | Some h -> Alcotest.(check int) "every pair recorded" 10_001 h.Nktrace.h_count
+      | None -> Alcotest.fail "histogram missing")
+    [
+      Nktrace.Vmmu_op "write_pte";
+      Nktrace.Shootdown "page";
+      Nktrace.Syscall_dispatch "getpid";
+    ]
 
 let test_cycle_stamps_follow_clock () =
   let m = Helpers.machine () in
@@ -322,6 +357,8 @@ let suite =
       test_reservoir_bounded;
     Alcotest.test_case "span pairing (LIFO, unmatched ignored)" `Quick
       test_span_pairing;
+    Alcotest.test_case "span begin/end allocates nothing" `Quick
+      test_span_path_allocates_nothing;
     Alcotest.test_case "records stamped with the simulated clock" `Quick
       test_cycle_stamps_follow_clock;
     Alcotest.test_case "tracing costs zero simulated cycles" `Quick

@@ -163,7 +163,16 @@ let test_many_flushes_stay_cheap () =
    reference mirrors the documented semantics — globals hit first and
    under every ASID, flushes are scoped — so any divergence is a bug
    in the packed machinery (lazy generation reclamation, epoch
-   wraparound purges, occupancy lists), not a modelling choice. *)
+   wraparound purges, occupancy lists), not a modelling choice.
+
+   The occupancy probes are checked the same way, because shootdown
+   filtering trusts them: [holds_span] over 1..16-page and 512-page
+   spans, [holds_asid] per ASID.  The vpage universe is two 32-page
+   runs 256 pages apart, so pages share the occupancy index's buckets
+   and live, dead and tombstoned slots mix in one bucket; a periodic
+   INVLPG-only phase piles tombstones up before the next rehash.  A
+   bucket count that misses an increment lets a probe skip a live
+   entry, and the check fails. *)
 let differential_soak ?epoch_limit ~seed ~ops () =
   let tlb = Tlb.create ?epoch_limit () in
   let ref_local : (int * int, Tlb.entry) Hashtbl.t = Hashtbl.create 64 in
@@ -178,6 +187,7 @@ let differential_soak ?epoch_limit ~seed ~ops () =
     x mod bound
   in
   let n_asids = 8 and n_vpages = 64 in
+  let vpage_of i = (i land 31) lor ((i lsr 5) lsl 8) in
   let ref_lookup ~asid ~vpage =
     match Hashtbl.find_opt ref_glob vpage with
     | Some e -> Some e
@@ -196,26 +206,58 @@ let differential_soak ?epoch_limit ~seed ~ops () =
         | Some e -> string_of_int e.Tlb.frame
         | None -> "miss")
   in
+  let ref_holds_span ~vpage ~count =
+    let inside v = v >= vpage && v < vpage + count in
+    Hashtbl.fold (fun v _ acc -> acc || inside v) ref_glob false
+    || Hashtbl.fold (fun (_, v) _ acc -> acc || inside v) ref_local false
+  in
+  let check_span ~vpage ~count =
+    let want = ref_holds_span ~vpage ~count in
+    if Tlb.holds_span tlb ~vpage ~count <> want then
+      Alcotest.failf "holds_span vpage=%d count=%d: tlb=%b ref=%b" vpage count
+        (not want) want
+  in
+  let check_asid asid =
+    let want = Hashtbl.fold (fun (a, _) _ acc -> acc || a = asid) ref_local false in
+    if Tlb.holds_asid tlb ~asid <> want then
+      Alcotest.failf "holds_asid asid=%d: tlb=%b ref=%b" asid (not want) want
+  in
   let sweep () =
     for asid = 0 to n_asids - 1 do
-      for vpage = 0 to n_vpages - 1 do
-        check_point ~probe:Tlb.peek ~asid ~vpage
-      done
+      for i = 0 to n_vpages - 1 do
+        check_point ~probe:Tlb.peek ~asid ~vpage:(vpage_of i)
+      done;
+      check_asid asid
     done;
+    for i = 0 to n_vpages - 1 do
+      let v = vpage_of i and c = 1 + (i mod 16) in
+      check_span ~vpage:v ~count:1;
+      check_span ~vpage:v ~count:c;
+      check_span ~vpage:(max 0 (v - c + 1)) ~count:c
+    done;
+    check_span ~vpage:0 ~count:512;
+    check_span ~vpage:(vpage_of 16) ~count:512;
     let live = Hashtbl.length ref_local + Hashtbl.length ref_glob in
     Alcotest.(check int) "live-entry count" live (Tlb.size tlb)
+  in
+  let flush_page vpage =
+    Tlb.flush_page tlb ~vpage;
+    Hashtbl.remove ref_glob vpage;
+    for a = 0 to n_asids - 1 do
+      Hashtbl.remove ref_local (a, vpage)
+    done
   in
   for op = 1 to ops do
     (match rand 16 with
     | 0 | 1 | 2 | 3 | 4 | 5 ->
-        let asid = rand n_asids and vpage = rand n_vpages in
+        let asid = rand n_asids and vpage = vpage_of (rand n_vpages) in
         let global = rand 8 = 0 in
         let e = entry ~writable:(rand 2 = 0) ~global (rand 10_000) in
         Tlb.insert tlb ~asid ~vpage e;
         if global then Hashtbl.replace ref_glob vpage e
         else Hashtbl.replace ref_local (asid, vpage) e
     | 6 | 7 | 8 | 9 | 10 ->
-        let asid = rand n_asids and vpage = rand n_vpages in
+        let asid = rand n_asids and vpage = vpage_of (rand n_vpages) in
         check_point ~probe:Tlb.lookup ~asid ~vpage
     | 11 ->
         Tlb.flush_all tlb;
@@ -227,7 +269,7 @@ let differential_soak ?epoch_limit ~seed ~ops () =
           (fun (a, v) _ -> if a = asid then Hashtbl.remove ref_local (a, v))
           (Hashtbl.copy ref_local)
     | 13 ->
-        let vpage = rand n_vpages and count = 1 + rand 16 in
+        let vpage = vpage_of (rand n_vpages) and count = 1 + rand 16 in
         Tlb.flush_span tlb ~vpage ~count;
         for v = vpage to vpage + count - 1 do
           Hashtbl.remove ref_glob v;
@@ -235,17 +277,18 @@ let differential_soak ?epoch_limit ~seed ~ops () =
             Hashtbl.remove ref_local (a, v)
           done
         done
-    | 14 ->
-        let vpage = rand n_vpages in
-        Tlb.flush_page tlb ~vpage;
-        Hashtbl.remove ref_glob vpage;
-        for a = 0 to n_asids - 1 do
-          Hashtbl.remove ref_local (a, vpage)
-        done
+    | 14 -> flush_page (vpage_of (rand n_vpages))
     | _ ->
         Tlb.flush_global_too tlb;
         Hashtbl.reset ref_local;
         Hashtbl.reset ref_glob);
+    if op mod 2000 = 1000 then begin
+      (* INVLPG only, no inserts: tombstones pile up for the next rehash *)
+      for _ = 1 to 48 do
+        flush_page (vpage_of (rand n_vpages))
+      done;
+      sweep ()
+    end;
     if op mod 500 = 0 then sweep ()
   done;
   sweep ()
