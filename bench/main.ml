@@ -236,15 +236,12 @@ let ablation_allocator () =
   section "Ablation (section 6): nested-kernel-guarded allocator";
   let cycles_per_op k allocator =
     let ops = 400 in
-    (* Warm. *)
-    let c = Result.get_ok (Guarded_alloc.alloc allocator) in
-    ignore (Guarded_alloc.free allocator c);
-    let snap = Nkhw.Clock.snapshot k.Kernel.machine.Nkhw.Machine.clock in
-    for _ = 1 to ops do
-      let c = Result.get_ok (Guarded_alloc.alloc allocator) in
-      ignore (Guarded_alloc.free allocator c)
-    done;
-    Nkhw.Clock.cycles_since k.Kernel.machine.Nkhw.Machine.clock snap / (2 * ops)
+    let w =
+      Nkhw.Window.repeat ~warm:1 k.Kernel.machine ops (fun () ->
+          let c = Result.get_ok (Guarded_alloc.alloc allocator) in
+          ignore (Guarded_alloc.free allocator c))
+    in
+    Nkhw.Window.cycles w / (2 * ops)
   in
   let kn = Os.boot Config.Native in
   let inline_cost =
@@ -288,12 +285,7 @@ let ablation_granularity () =
   let plain = Nkhw.Addr.kva_of_frame (frame + 1) in
   let ops = 200 in
   let measure f =
-    f ();
-    let snap = Nkhw.Clock.snapshot m.Nkhw.Machine.clock in
-    for _ = 1 to ops do
-      f ()
-    done;
-    Nkhw.Clock.cycles_since m.Nkhw.Machine.clock snap / ops
+    Nkhw.Window.cycles (Nkhw.Window.repeat ~warm:1 m ops f) / ops
   in
   let direct_cost =
     measure (fun () ->
@@ -338,21 +330,15 @@ let extra_ctx_switch () =
     (match Syscalls.fork k p with
     | Ok pid -> Sched.add sched pid
     | Error _ -> ());
-    ignore (Sched.yield sched);
-    ignore (Sched.yield sched);
-    let clock = k.Kernel.machine.Nkhw.Machine.clock in
-    let trace = k.Kernel.machine.Nkhw.Machine.trace in
-    let snap = Nkhw.Clock.snapshot clock in
-    let full0 = Nktrace.counter_value trace Nktrace.Tlb_flush_full in
-    let asid0 = Nktrace.counter_value trace Nktrace.Tlb_flush_asid in
-    for _ = 1 to n do
-      ignore (Sched.yield sched)
-    done;
-    let cycles = Nkhw.Clock.cycles_since clock snap in
-    let us = Nkhw.Costs.cycles_to_us cycles /. float_of_int n in
-    let full = Nktrace.counter_value trace Nktrace.Tlb_flush_full - full0 in
-    let asid = Nktrace.counter_value trace Nktrace.Tlb_flush_asid - asid0 in
-    (us, cycles / n, full, asid)
+    let w =
+      Nkhw.Window.repeat ~warm:2 k.Kernel.machine n (fun () ->
+          ignore (Sched.yield sched))
+    in
+    let cycles = Nkhw.Window.cycles w in
+    ( Nkhw.Costs.cycles_to_us cycles /. float_of_int n,
+      cycles / n,
+      Nkhw.Window.count w Nktrace.Tlb_flush_full,
+      Nkhw.Window.count w Nktrace.Tlb_flush_asid )
   in
   let rows =
     List.concat_map
@@ -437,9 +423,7 @@ let extra_smp_shootdown () =
     map ();
     unmap ();
     map ();
-    let snap = Nkhw.Clock.snapshot m.Nkhw.Machine.clock in
-    unmap ();
-    Nkhw.Clock.cycles_since m.Nkhw.Machine.clock snap
+    Nkhw.Window.cycles (Nkhw.Window.repeat m 1 unmap)
   in
   Stats.print
     {
@@ -478,7 +462,7 @@ let extra_smp_scaling () =
            string_of_int
              (match points with
              | p :: _ -> p.Smp_scale.seed
-             | [] -> Smp_scale.default_seed) );
+             | [] -> Harness.default_seed) );
          ("wallclock", Printf.sprintf "%.0f" wallclock);
          ( "points",
            json_list
@@ -527,7 +511,7 @@ let extra_server_scale () =
            string_of_int
              (match points with
              | p :: _ -> p.Server_scale.seed
-             | [] -> Server_scale.default_seed) );
+             | [] -> Harness.default_seed) );
          ("cpus", string_of_int Server_scale.cpus);
          ("host_secs", Printf.sprintf "%.1f" host_secs);
          ( "points",
@@ -590,7 +574,7 @@ let extra_multitenant () =
            string_of_int
              (match points with
              | p :: _ -> p.Multitenant.seed
-             | [] -> Multitenant.default_seed) );
+             | [] -> Harness.default_seed) );
          ("cpus", string_of_int Multitenant.cpus);
          ("scratch_pages", string_of_int Multitenant.scratch_pages);
          ("scratch_iters", string_of_int Multitenant.scratch_iters);

@@ -244,7 +244,7 @@ let boot_cmd =
     | Some seed -> smp_run k seed
     | None ->
         if cpus > 1 || inject <> None then
-          smp_run k Nk_workloads.Smp_scale.default_seed);
+          smp_run k Nk_workloads.Harness.default_seed);
     (match inject with
     | None -> ()
     | Some inj ->
@@ -505,7 +505,7 @@ let domains_arg =
 
 let serve_tenants config tenants conns seed =
   let module M = Nk_workloads.Multitenant in
-  let seed = match seed with Some s -> s | None -> M.default_seed in
+  let seed = Option.value seed ~default:Nk_workloads.Harness.default_seed in
   let conns = match conns with 10_000 -> M.default_conns | n -> n in
   let p = M.run_one ~seed ~tenants ~conns ~config () in
   Printf.printf
@@ -543,7 +543,7 @@ let serve_cmd =
     if domains > 0 then serve_tenants config domains conns seed
     else begin
     let module S = Nk_workloads.Server_scale in
-    let seed = match seed with Some s -> s | None -> S.env_seed () in
+    let seed = Option.value seed ~default:(Nk_workloads.Harness.env_seed ()) in
     let p = S.run_one ~seed ~et ~config conns in
     Printf.printf "kv server: %s, %d vCPUs, %d-connection target (seed %d%s)\n"
       (Config.name config) S.cpus conns seed

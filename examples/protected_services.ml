@@ -73,14 +73,12 @@ let () =
 
   banner "Cost of the protection";
   let per_op allocator =
-    let c = Result.get_ok (Guarded_alloc.alloc allocator) in
-    ignore (Guarded_alloc.free allocator c);
-    let snap = Clock.snapshot k.Kernel.machine.Machine.clock in
-    for _ = 1 to 100 do
-      let c = Result.get_ok (Guarded_alloc.alloc allocator) in
-      ignore (Guarded_alloc.free allocator c)
-    done;
-    Clock.cycles_since k.Kernel.machine.Machine.clock snap / 200
+    let w =
+      Window.repeat ~warm:1 k.Kernel.machine 100 (fun () ->
+          let c = Result.get_ok (Guarded_alloc.alloc allocator) in
+          ignore (Guarded_alloc.free allocator c))
+    in
+    Window.cycles w / 200
   in
   let inline =
     Guarded_alloc.create_inline k.Kernel.machine k.Kernel.falloc ~chunk_size:64

@@ -1,31 +1,5 @@
-type t = { mutable cycles : int; counters : (string, int) Hashtbl.t }
+type t = { mutable cycles : int }
 
-let create () = { cycles = 0; counters = Hashtbl.create 32 }
+let create () = { cycles = 0 }
 let charge t c = t.cycles <- t.cycles + c
 let cycles t = t.cycles
-
-let reset t =
-  t.cycles <- 0;
-  Hashtbl.reset t.counters
-
-let count_n t name n =
-  let cur = Option.value ~default:0 (Hashtbl.find_opt t.counters name) in
-  Hashtbl.replace t.counters name (cur + n)
-
-let count t name = count_n t name 1
-let counter t name = Option.value ~default:0 (Hashtbl.find_opt t.counters name)
-
-let counters t =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.counters []
-  |> List.sort compare
-
-type snapshot = { at_cycles : int; at_counters : (string * int) list }
-
-let snapshot t = { at_cycles = t.cycles; at_counters = counters t }
-let cycles_since t s = t.cycles - s.at_cycles
-
-let counter_since t s name =
-  let before =
-    Option.value ~default:0 (List.assoc_opt name s.at_counters)
-  in
-  counter t name - before

@@ -1,26 +1,10 @@
-(** Cycle accumulator and event counters for one machine.
+(** The simulated cycle accumulator of one machine.
 
-    Besides total cycles, the clock keeps named event counters so that
-    tests and benchmarks can assert {e how many} mediated operations a
-    given kernel path performed (e.g. PTE writes during a fork). *)
+    Event counts live in the typed {!Nktrace} registry; a {!Window}
+    reads cycles and counters together. *)
 
 type t
 
 val create : unit -> t
 val charge : t -> int -> unit
 val cycles : t -> int
-val reset : t -> unit
-
-val count : t -> string -> unit
-(** Increment the named event counter. *)
-
-val count_n : t -> string -> int -> unit
-val counter : t -> string -> int
-val counters : t -> (string * int) list
-(** All counters, sorted by name. *)
-
-type snapshot
-
-val snapshot : t -> snapshot
-val cycles_since : t -> snapshot -> int
-val counter_since : t -> snapshot -> string -> int

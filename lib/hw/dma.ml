@@ -22,7 +22,7 @@ let write (m : Machine.t) ~pa data =
           go (pa + chunk) (off + chunk) (remaining - chunk)
         end
     in
-    Machine.count_ev m (Nktrace.Custom "dma_write");
+    Machine.count_ev m Nktrace.Dma_write;
     go pa 0 len
   end
 

@@ -19,7 +19,7 @@ let deliver_trap (m : Machine.t) ~vector ~fault =
     Error (Fault.General_protection (Printf.sprintf "IDT vector %d empty" vector))
   else begin
     Machine.charge m m.costs.Costs.trap_roundtrip;
-    Machine.count_ev m (Nktrace.Custom "trap");
+    Machine.count_ev m Nktrace.Trap;
     (* Hardware pushes RFLAGS then the interrupted RIP on the stack of
        the privilege level the handler runs at; we deliver on the
        current (supervisor) stack. *)
@@ -220,7 +220,7 @@ let exec_one (m : Machine.t) : (stop option, Fault.t) result =
           fallthrough ()
       | Insn.Mov_to_cr (c, r) ->
           Machine.charge m costs.Costs.cr_write;
-          Machine.count_ev m (Nktrace.Custom "cr_write");
+          Machine.count_ev m Nktrace.Cr_write;
           let v = Cpu_state.get cpu r in
           (match c with
           | Insn.CR0 -> m.cr.Cr.cr0 <- v
@@ -232,7 +232,7 @@ let exec_one (m : Machine.t) : (stop option, Fault.t) result =
           fallthrough ()
       | Insn.Wrmsr ->
           Machine.charge m costs.Costs.wrmsr;
-          Machine.count_ev m (Nktrace.Custom "wrmsr");
+          Machine.count_ev m Nktrace.Wrmsr;
           let msr = Cpu_state.get cpu Insn.RCX in
           let v = Cpu_state.get cpu Insn.RAX in
           if msr = Machine.msr_efer then m.cr.Cr.efer <- v

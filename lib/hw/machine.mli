@@ -151,26 +151,26 @@ val kread_word : t -> Addr.va -> int
 
 val flush_full : t -> unit
 (** Local CR3-reload-style flush: non-global entries of every ASID.
-    Charges [tlb_flush_full], counts ["tlb_flush_full"] and drops the
-    current CPU from every ASID's residency mask. *)
+    Charges [tlb_flush_full], counts {!Nktrace.Tlb_flush_full} and
+    drops the current CPU from every ASID's residency mask. *)
 
 val flush_asid : t -> asid:int -> unit
 (** Local INVPCID single-context flush.  Charges [invpcid], counts
-    ["tlb_flush_asid"] and drops the current CPU from that ASID's
-    residency mask. *)
+    {!Nktrace.Tlb_flush_asid} and drops the current CPU from that
+    ASID's residency mask. *)
 
 val shootdown_page : ?scope:shootdown_scope -> t -> vpage:int -> unit
 (** Flush one page from the local TLB and IPI the peer CPUs in [scope]
     (default [Broadcast]) to do the same, charging the per-peer
     shootdown cost for each peer actually flushed and counting
-    ["shootdown_sent"]/["shootdown_filtered"] per peer. *)
+    {!Nktrace.Shootdown_sent}/{!Nktrace.Shootdown_filtered} per peer. *)
 
 val shootdown_span : ?scope:shootdown_scope -> t -> vpage:int -> count:int -> unit
 (** Flush [count] consecutive pages locally and on every targeted peer
     — the shootdown a 2 MiB-leaf downgrade needs, since its constituent
     4 KiB translations are cached individually.  Charges per-page
     INVLPG cost capped at one full flush, and counts
-    ["tlb_flush_span"]. *)
+    {!Nktrace.Tlb_flush_span}. *)
 
 val shootdown_all : t -> unit
 (** Full local flush — all ASIDs {e and} global entries, since a

@@ -9,7 +9,7 @@ let install_handler (m : Machine.t) payload =
       Ok ()
 
 let trigger_smi (m : Machine.t) =
-  Machine.count_ev m (Nktrace.Custom "smi");
+  Machine.count_ev m Nktrace.Smi;
   match m.smm_owner with
   | Machine.Smm_nested_kernel -> Suppressed
   | Machine.Smm_unprotected -> (

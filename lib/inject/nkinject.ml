@@ -57,6 +57,11 @@ let site_name = function
 let site_of_name s =
   List.find_opt (fun site -> site_name site = s) all_sites
 
+(* Ring marks for fired injections, built once: the count itself lives
+   in [injected]. *)
+let mark_names =
+  Array.of_list (List.map (fun s -> "inject_" ^ site_name s) all_sites)
+
 type t = {
   seed : int;
   rate : float;
@@ -119,7 +124,7 @@ let fire t s =
       t.injected.(i) <- t.injected.(i) + 1;
       match t.trace with
       | None -> ()
-      | Some tr -> Nktrace.count tr (Nktrace.Custom ("inject_" ^ site_name s))
+      | Some tr -> Nktrace.mark tr mark_names.(i)
     end;
     hit
   end

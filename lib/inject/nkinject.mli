@@ -14,9 +14,9 @@
     Injection charges no simulated cycles: a fault changes the
     control flow (an [Error] instead of an [Ok]), never the clock.
 
-    Every injected fault bumps a per-site count here and, when a
-    tracer is attached, an [inject_<site>] custom counter in the same
-    {!Nktrace} stream as the rest of the run. *)
+    Every injected fault bumps a per-site count here ({!counts}) and,
+    when a tracer is attached and enabled, drops an [inject_<site>]
+    mark into the same {!Nktrace} ring as the rest of the run. *)
 
 type site =
   | Frame_exhausted  (** [Frame_alloc.alloc] returns [None] *)
@@ -62,8 +62,8 @@ val set_armed : t -> bool -> unit
 val fire : t -> site -> bool
 (** Ask the injector whether the fault at [site] should be injected
     now.  Draws one PRNG step iff the site is enabled and the
-    injector armed; bumps the site's injected count (and the
-    [inject_<site>] trace counter) when it fires. *)
+    injector armed; bumps the site's injected count (and marks
+    [inject_<site>] in the trace ring) when it fires. *)
 
 val fire_opt : t option -> site -> bool
 (** [fire] through the optional-injector field a subsystem holds;
@@ -71,7 +71,7 @@ val fire_opt : t option -> site -> bool
 
 val set_trace : t -> Nktrace.t option -> unit
 (** Attach the run's tracer so injected faults appear as
-    [inject_<site>] custom counters in the same snapshot. *)
+    [inject_<site>] marks in the same ring. *)
 
 val injected : t -> site -> int
 (** Faults actually injected at [site] so far. *)

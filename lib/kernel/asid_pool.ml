@@ -83,7 +83,7 @@ let alloc ?(domain = 0) t =
           let a = t.hands.(p) in
           t.hands.(p) <- (if a + 1 > hi then lo else a + 1);
           Machine.shootdown_asid t.machine ~asid:a;
-          Machine.count_ev t.machine (Nktrace.Custom "asid_recycle");
+          Machine.count_ev t.machine Nktrace.Asid_recycle;
           a
     in
     t.slots.(asid) <- stamp;

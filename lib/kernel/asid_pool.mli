@@ -42,7 +42,7 @@ val partition_range : t -> domain:int -> (int * int) option
 val alloc : ?domain:int -> t -> (int * int) option
 (** [(asid, stamp)] from the domain's own partition (default domain 0).
     Steals within the partition (with a per-ASID flush and an
-    ["asid_recycle"] count) when no slot there is free; the flush is
+    {!Nktrace.Asid_recycle} count) when no slot there is free; the flush is
     ordered before the pair is returned, hence before the new owner's
     first CR3 load.  [None] — never a peer partition's tag — when the
     domain's partition has no slots. *)

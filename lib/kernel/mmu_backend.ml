@@ -236,7 +236,7 @@ let hypervisor (m : Machine.t) =
   let base = native m in
   let vmexit () =
     Machine.charge m m.Machine.costs.Costs.vmcall_roundtrip;
-    Machine.count_ev m (Nktrace.Custom "vmcall")
+    Machine.count_ev m Nktrace.Vmcall
   in
   {
     base with

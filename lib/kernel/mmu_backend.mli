@@ -57,7 +57,7 @@ val nested_batched : Nested_kernel.State.t -> t
 val hypervisor : Machine.t -> t
 (** Simulated hypervisor mediation: native semantics, but every MMU
     operation pays the measured VMCALL round trip (Table 3's
-    [vmcall]) and counts a ["vmcall"] event — batch items each pay
+    [vmcall]) and counts {!Nktrace.Vmcall} — batch items each pay
     their own exit.  The multi-tenant bench's per-tenant
     full-address-space-worlds baseline. *)
 

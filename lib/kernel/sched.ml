@@ -135,7 +135,7 @@ let credit_select t q =
     let rec rotate i =
       if i >= len then begin
         credit_refill t;
-        Machine.count_ev t.k.Kernel.machine (Nktrace.Custom "sched_epoch")
+        Machine.count_ev t.k.Kernel.machine Nktrace.Sched_epoch
       end
       else if !(credit_of t (domain_of t (Queue.peek q))) > 0 then ()
       else begin

@@ -35,9 +35,10 @@ val set_domain_credits : t -> quantum:int -> unit
     take at most [quantum] consecutive dispatches per epoch on a CPU
     while any co-queued domain still holds credit (so a hostile tenant
     is bounded to its fair share); when every queued domain is
-    exhausted the epoch ends, all credits refill and a ["sched_epoch"]
-    event is counted.  [quantum = 0] (the default) disables credits —
-    dispatch order is then exactly the classic rotation. *)
+    exhausted the epoch ends, all credits refill and
+    {!Nktrace.Sched_epoch} is counted.  [quantum = 0] (the default)
+    disables credits — dispatch order is then exactly the classic
+    rotation. *)
 
 val set_affinity : t -> Ktypes.pid -> int -> unit
 (** Restrict a process to the CPUs set in the bitmask (bit [c] = CPU

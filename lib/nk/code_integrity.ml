@@ -63,7 +63,7 @@ let install_code st ~frames code =
                     (* Direct-map mapping: read-only and executable. *)
                     set_dmap_flags st f ~writable:false ~nx:false)
                   frames;
-                Machine.count_ev m (Nktrace.Custom "install_code");
+                Machine.count_ev m Nktrace.Install_code;
                 Ok ())
 
 let retire_code st ~frames =
@@ -86,5 +86,5 @@ let retire_code st ~frames =
               Iommu.unprotect_frame m.Machine.iommu f;
               set_dmap_flags st f ~writable:true ~nx:true)
             frames;
-          Machine.count_ev m (Nktrace.Custom "retire_code");
+          Machine.count_ev m Nktrace.Retire_code;
           Ok ())

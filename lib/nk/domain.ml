@@ -36,7 +36,7 @@ let create (st : State.t) =
             dom_denials = 0;
             dom_policies = None;
           };
-        Machine.count_ev st.State.machine (Nktrace.Custom "domain_create");
+        Machine.count_ev st.State.machine Nktrace.Domain_create;
         Ok (id, token)
       end)
 
@@ -66,12 +66,10 @@ let enter (st : State.t) ~domain ~token =
         match State.find_domain st domain with
         | Some d when d.State.dom_live && d.State.dom_token = token ->
             st.State.cur_domain <- domain;
-            Machine.count_ev st.State.machine (Nktrace.Custom "domain_enter");
+            Machine.count_ev st.State.machine Nktrace.Domain_enter;
             Ok ()
         | Some d when d.State.dom_live ->
-            State.count_denial st;
-            Machine.count_ev st.State.machine
-              (Nktrace.Custom "xdom_denied_enter");
+            State.count_denial ~op:"enter" st;
             bad domain "entry token mismatch"
         | Some _ -> bad domain "domain is dead"
         | None -> bad domain "unknown domain")
@@ -147,8 +145,7 @@ let destroy (st : State.t) ~domain =
                 end);
             d.State.dom_live <- false;
             if st.State.cur_domain = domain then st.State.cur_domain <- 0;
-            Machine.count_ev st.State.machine
-              (Nktrace.Custom "domain_destroy");
+            Machine.count_ev st.State.machine Nktrace.Domain_destroy;
             Ok !leaked)
 
 (* --- cross-domain pipes: the only inter-tenant channel ------------- *)
@@ -187,7 +184,7 @@ let pipe_send (st : State.t) ~dst word =
             Error (Nk_error.Eagain "pipe full")
           else begin
             Queue.push word p.State.pipe_buf;
-            Machine.count_ev st.State.machine (Nktrace.Custom "pipe_send");
+            Machine.count_ev st.State.machine Nktrace.Pipe_send;
             Ok ()
           end)
 
@@ -223,8 +220,7 @@ let request_shootdown (st : State.t) scope =
           (* A CPU-pinned scope is the vMMU's own internal audience
              snapshot; a tenant proposing one is by construction trying
              to pick which peers get flushed — denied outright. *)
-          State.count_denial st;
-          Machine.count_ev m (Nktrace.Custom "xdom_denied_shootdown");
+          State.count_denial ~op:"shootdown" st;
           Error
             (Nk_error.Cross_domain
                {
@@ -262,8 +258,7 @@ let request_shootdown (st : State.t) scope =
             in
             match shrunk with
             | Some (root, owner) ->
-                State.count_denial st;
-                Machine.count_ev m (Nktrace.Custom "xdom_denied_shootdown");
+                State.count_denial ~op:"shootdown" st;
                 Error
                   (Nk_error.Cross_domain
                      {
@@ -281,9 +276,7 @@ let request_shootdown (st : State.t) scope =
                       | Some root
                         when not (State.owner_ok st (Pgdesc.owner st.descs root))
                         ->
-                          State.count_denial st;
-                          Machine.count_ev m
-                            (Nktrace.Custom "xdom_denied_shootdown");
+                          State.count_denial ~op:"shootdown" st;
                           Error
                             (Nk_error.Cross_domain
                                {

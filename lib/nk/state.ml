@@ -95,11 +95,15 @@ let domain_live t id =
 let owner_ok t owner =
   t.cur_domain = 0 || owner = 0 || owner = t.cur_domain
 
-let count_denial t =
+let count_denial ?op t =
   (match find_domain t t.cur_domain with
   | Some d -> d.dom_denials <- d.dom_denials + 1
   | None -> ());
-  Machine.count_ev t.machine (Nktrace.Custom "xdom_denied")
+  Machine.count_ev t.machine Nktrace.Xdom_denied;
+  let tr = t.machine.Machine.trace in
+  match op with
+  | Some op when Nktrace.enabled tr -> Nktrace.mark tr ("xdom_denied_" ^ op)
+  | _ -> ()
 
 let is_nk_frame t f =
   f >= t.nk_first_frame && f < t.nk_first_frame + t.nk_frame_count

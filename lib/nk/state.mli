@@ -102,9 +102,10 @@ val owner_ok : t -> int -> bool
     host-owned frames are usable by every domain, and a tenant may
     otherwise only touch frames it owns. *)
 
-val count_denial : t -> unit
-(** Record a cross-domain rejection against the current domain (its
-    [dom_denials] plus the ["xdom_denied"] trace counter). *)
+val count_denial : ?op:string -> t -> unit
+(** Record a cross-domain rejection against the current domain: its
+    [dom_denials], the {!Nktrace.Xdom_denied} counter and, while
+    tracing, an [xdom_denied_<op>] ring mark naming the operation. *)
 
 val with_gate :
   t -> (unit -> ('a, Nk_error.t) result) -> ('a, Nk_error.t) result

@@ -39,8 +39,7 @@ let check_owner (st : State.t) ~op frame =
   let owner = Pgdesc.owner st.descs frame in
   if State.owner_ok st owner then Ok ()
   else begin
-    State.count_denial st;
-    Machine.count_ev st.machine (Nktrace.Custom ("xdom_denied_" ^ op));
+    State.count_denial ~op st;
     Error
       (Nk_error.Cross_domain
          { domain = st.State.cur_domain; owner; frame; op })
@@ -69,8 +68,7 @@ let check_pte_targets (st : State.t) ~ptp ~level pte =
       let owner = Pgdesc.owner st.descs frame in
       if owner = 0 || owner = eff then Ok ()
       else begin
-        State.count_denial st;
-        Machine.count_ev st.machine (Nktrace.Custom ("xdom_denied_" ^ op));
+        State.count_denial ~op st;
         Error (Nk_error.Cross_domain { domain = eff; owner; frame; op })
       end
     in

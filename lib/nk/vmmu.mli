@@ -52,14 +52,14 @@ val write_pte_batch :
     after).  Per-entry shootdowns are coalesced: they accumulate
     across the batch and fire once before the gate is left (error
     paths included), with contiguous same-scope spans merged into
-    single range shootdowns — counted as ["shootdown_coalesced"]. *)
+    single range shootdowns — counted as {!Nktrace.Shootdown_coalesced}. *)
 
 val flush_deferred_frame : State.t -> Addr.frame -> unit
 (** Fire (and retire) any lazy unmap invalidations still pending on
     this frame.  The reuse barrier: kernel boot wires it into the
     outer frame allocator's [on_alloc] hook, and the vMMU calls it
     internally before a frame is re-mapped or declared as a PTP.
-    Counted as ["flush_on_reuse"] per pending record; a no-op when
+    Counted as {!Nktrace.Flush_on_reuse} per pending record; a no-op when
     nothing is queued. *)
 
 val flush_all_deferred : State.t -> unit

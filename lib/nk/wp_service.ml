@@ -139,8 +139,9 @@ let write st (wd : State.wd) ~dest data =
           | Policy.Deny reason ->
               st.State.denied_writes <- st.State.denied_writes + 1;
               Machine.count_ev m Nktrace.Nk_write_denied;
-              Nktrace.mark tr
-                ("policy_denial:" ^ wd.State.wd_policy.Policy.name);
+              if Nktrace.enabled tr then
+                Nktrace.mark tr
+                  ("policy_denial:" ^ wd.State.wd_policy.Policy.name);
               Error
                 (Nk_error.Policy_violation
                    { policy = wd.State.wd_policy.Policy.name; reason })

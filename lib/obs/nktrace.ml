@@ -54,65 +54,21 @@ type counter =
   | Slab_cpu_hit
   | Slab_cpu_refill
   | Slab_cpu_flush
-  | Custom of string
-
-let counter_name = function
-  | Tlb_flush_full -> "tlb_flush_full"
-  | Tlb_flush_asid -> "tlb_flush_asid"
-  | Tlb_flush_page -> "tlb_flush_page"
-  | Tlb_flush_span -> "tlb_flush_span"
-  | Tlb_hit -> "tlb_hit"
-  | Tlb_miss -> "tlb_miss"
-  | Pte_write -> "pte_write"
-  | Pte_write_batch -> "pte_write_batch"
-  | Declare_ptp -> "declare_ptp"
-  | Remove_ptp -> "remove_ptp"
-  | Load_cr0 -> "load_cr0"
-  | Load_cr3 -> "load_cr3"
-  | Load_cr3_pcid -> "load_cr3_pcid"
-  | Load_cr4 -> "load_cr4"
-  | Load_efer -> "load_efer"
-  | Nk_enter -> "nk_enter"
-  | Nk_declare -> "nk_declare"
-  | Nk_alloc -> "nk_alloc"
-  | Nk_free -> "nk_free"
-  | Nk_write -> "nk_write"
-  | Nk_write_denied -> "nk_write_denied"
-  | Colocated_trap -> "colocated_trap"
-  | Colocated_emulated_write -> "colocated_emulated_write"
-  | Syscall -> "syscall"
-  | Context_switch -> "context_switch"
-  | Fork -> "fork"
-  | Fork_vm -> "fork_vm"
-  | Exec -> "exec"
-  | Exit -> "exit"
-  | Vm_fault -> "vm_fault"
-  | Cow_copy -> "cow_copy"
-  | Vm_destroy -> "vm_destroy"
-  | Cpu_migration -> "cpu_migration"
-  | Cpu_borrow -> "smp_borrow"
-  | Ipi_reschedule -> "ipi_reschedule"
-  | Ipi_shootdown -> "ipi_shootdown"
-  | Ipi_halt -> "ipi_halt"
-  | Shootdown_sent -> "shootdown_sent"
-  | Shootdown_filtered -> "shootdown_filtered"
-  | Shootdown_coalesced -> "shootdown_coalesced"
-  | Flush_deferred -> "flush_deferred"
-  | Flush_on_reuse -> "flush_on_reuse"
-  | Sched_steal -> "sched_steal"
-  | Signal_delivered -> "signal_delivered"
-  | Syslog_event -> "syslog_event"
-  | Syslog_flush -> "syslog_flush"
-  | Sock_conn_open -> "sock_conn_open"
-  | Sock_conn_close -> "sock_conn_close"
-  | Sock_backlog_drop -> "sock_backlog_drop"
-  | Accept_local -> "accept_local"
-  | Accept_steal -> "accept_steal"
-  | Epoll_wakeup -> "epoll_wakeup"
-  | Slab_cpu_hit -> "slab_cpu_hit"
-  | Slab_cpu_refill -> "slab_cpu_refill"
-  | Slab_cpu_flush -> "slab_cpu_flush"
-  | Custom s -> s
+  | Smi
+  | Dma_write
+  | Trap
+  | Cr_write
+  | Wrmsr
+  | Vmcall
+  | Asid_recycle
+  | Sched_epoch
+  | Xdom_denied
+  | Domain_create
+  | Domain_enter
+  | Domain_destroy
+  | Pipe_send
+  | Install_code
+  | Retire_code
 
 type span =
   | Gate_crossing
@@ -161,28 +117,86 @@ let span_id sp =
       Hashtbl.add span_ids sp id;
       id
 
-(* Dense indices for the static counters, in declaration order.  The
-   hot [count] path bumps a flat int array slot instead of hashing a
-   name string — no [Some] box from [Hashtbl.find_opt], no string —
-   and the ring stores the index as a plain int.  [Custom] counters
-   (cold: ad-hoc probes) keep a hash table keyed by name. *)
-let all_counters =
+(* The registry: every counter with its output name, in [counter_index]
+   order.  A counter is declared in the type, in [counter_index] and in
+   this one table.  The hot [count] path bumps a flat int array slot by
+   index — no hashing, no string — and the ring stores the index as a
+   plain int. *)
+let counters =
   [|
-    Tlb_flush_full; Tlb_flush_asid; Tlb_flush_page; Tlb_flush_span;
-    Tlb_hit; Tlb_miss; Pte_write; Pte_write_batch; Declare_ptp;
-    Remove_ptp; Load_cr0; Load_cr3; Load_cr3_pcid; Load_cr4; Load_efer;
-    Nk_enter; Nk_declare; Nk_alloc; Nk_free; Nk_write; Nk_write_denied;
-    Colocated_trap; Colocated_emulated_write; Syscall; Context_switch;
-    Fork; Fork_vm; Exec; Exit; Vm_fault; Cow_copy; Vm_destroy;
-    Cpu_migration; Cpu_borrow; Ipi_reschedule; Ipi_shootdown; Ipi_halt;
-    Shootdown_sent; Shootdown_filtered; Shootdown_coalesced;
-    Flush_deferred; Flush_on_reuse; Sched_steal; Signal_delivered;
-    Syslog_event; Syslog_flush; Sock_conn_open; Sock_conn_close;
-    Sock_backlog_drop; Accept_local; Accept_steal; Epoll_wakeup;
-    Slab_cpu_hit; Slab_cpu_refill; Slab_cpu_flush;
+    (Tlb_flush_full, "tlb_flush_full");
+    (Tlb_flush_asid, "tlb_flush_asid");
+    (Tlb_flush_page, "tlb_flush_page");
+    (Tlb_flush_span, "tlb_flush_span");
+    (Tlb_hit, "tlb_hit");
+    (Tlb_miss, "tlb_miss");
+    (Pte_write, "pte_write");
+    (Pte_write_batch, "pte_write_batch");
+    (Declare_ptp, "declare_ptp");
+    (Remove_ptp, "remove_ptp");
+    (Load_cr0, "load_cr0");
+    (Load_cr3, "load_cr3");
+    (Load_cr3_pcid, "load_cr3_pcid");
+    (Load_cr4, "load_cr4");
+    (Load_efer, "load_efer");
+    (Nk_enter, "nk_enter");
+    (Nk_declare, "nk_declare");
+    (Nk_alloc, "nk_alloc");
+    (Nk_free, "nk_free");
+    (Nk_write, "nk_write");
+    (Nk_write_denied, "nk_write_denied");
+    (Colocated_trap, "colocated_trap");
+    (Colocated_emulated_write, "colocated_emulated_write");
+    (Syscall, "syscall");
+    (Context_switch, "context_switch");
+    (Fork, "fork");
+    (Fork_vm, "fork_vm");
+    (Exec, "exec");
+    (Exit, "exit");
+    (Vm_fault, "vm_fault");
+    (Cow_copy, "cow_copy");
+    (Vm_destroy, "vm_destroy");
+    (Cpu_migration, "cpu_migration");
+    (Cpu_borrow, "smp_borrow");
+    (Ipi_reschedule, "ipi_reschedule");
+    (Ipi_shootdown, "ipi_shootdown");
+    (Ipi_halt, "ipi_halt");
+    (Shootdown_sent, "shootdown_sent");
+    (Shootdown_filtered, "shootdown_filtered");
+    (Shootdown_coalesced, "shootdown_coalesced");
+    (Flush_deferred, "flush_deferred");
+    (Flush_on_reuse, "flush_on_reuse");
+    (Sched_steal, "sched_steal");
+    (Signal_delivered, "signal_delivered");
+    (Syslog_event, "syslog_event");
+    (Syslog_flush, "syslog_flush");
+    (Sock_conn_open, "sock_conn_open");
+    (Sock_conn_close, "sock_conn_close");
+    (Sock_backlog_drop, "sock_backlog_drop");
+    (Accept_local, "accept_local");
+    (Accept_steal, "accept_steal");
+    (Epoll_wakeup, "epoll_wakeup");
+    (Slab_cpu_hit, "slab_cpu_hit");
+    (Slab_cpu_refill, "slab_cpu_refill");
+    (Slab_cpu_flush, "slab_cpu_flush");
+    (Smi, "smi");
+    (Dma_write, "dma_write");
+    (Trap, "trap");
+    (Cr_write, "cr_write");
+    (Wrmsr, "wrmsr");
+    (Vmcall, "vmcall");
+    (Asid_recycle, "asid_recycle");
+    (Sched_epoch, "sched_epoch");
+    (Xdom_denied, "xdom_denied");
+    (Domain_create, "domain_create");
+    (Domain_enter, "domain_enter");
+    (Domain_destroy, "domain_destroy");
+    (Pipe_send, "pipe_send");
+    (Install_code, "install_code");
+    (Retire_code, "retire_code");
   |]
 
-let n_counters = Array.length all_counters
+let n_counters = Array.length counters
 
 let counter_index = function
   | Tlb_flush_full -> 0
@@ -240,7 +254,23 @@ let counter_index = function
   | Slab_cpu_hit -> 52
   | Slab_cpu_refill -> 53
   | Slab_cpu_flush -> 54
-  | Custom _ -> -1
+  | Smi -> 55
+  | Dma_write -> 56
+  | Trap -> 57
+  | Cr_write -> 58
+  | Wrmsr -> 59
+  | Vmcall -> 60
+  | Asid_recycle -> 61
+  | Sched_epoch -> 62
+  | Xdom_denied -> 63
+  | Domain_create -> 64
+  | Domain_enter -> 65
+  | Domain_destroy -> 66
+  | Pipe_send -> 67
+  | Install_code -> 68
+  | Retire_code -> 69
+
+let counter_name c = snd counters.(counter_index c)
 
 type event =
   | Count of counter
@@ -291,14 +321,13 @@ let no_stack = { sp_starts = [||]; sp_depth = 0 }
 (* The ring is stored as parallel int planes rather than an array of
    boxed records: recording an event while tracing is on writes six
    ints (seq, cycles, cpu, kind, code, arg) and allocates nothing.
-   [kind] discriminates the event; [code] is a static counter index, an
+   [kind] discriminates the event; [code] is a counter index, an
    interned span id, or an interned string id; [arg] carries a span-end
    duration.  Boxed [record] values exist only in [snapshot] output. *)
-let k_count = 0 (* code = static counter index *)
-let k_count_custom = 1 (* code = interned string id *)
-let k_begin = 2 (* code = span id *)
-let k_end = 3 (* code = span id, arg = duration *)
-let k_mark = 4 (* code = interned string id *)
+let k_count = 0 (* code = counter index *)
+let k_begin = 1 (* code = span id *)
+let k_end = 2 (* code = span id, arg = duration *)
+let k_mark = 3 (* code = interned string id *)
 
 type t = {
   r_seq : int array;
@@ -315,12 +344,11 @@ type t = {
   mutable now : unit -> int;
   mutable cpu : int;
   hist_capacity : int;
-  cvals : int array; (* static counter values, by counter_index *)
+  cvals : int array; (* counter values, by counter_index *)
   ctouched : bool array; (* ever bumped (net-zero counters still report) *)
-  ccustom : (string, int ref) Hashtbl.t; (* Custom counters (cold) *)
   hists : (string, hist) Hashtbl.t;
   mutable span_hists : hist option array; (* span id -> histogram, once ended *)
-  str_ids : (string, int) Hashtbl.t; (* mark / custom-counter names *)
+  str_ids : (string, int) Hashtbl.t; (* mark names *)
   mutable str_vals : string array;
   mutable str_count : int;
   mutable stacks : stack array; (* (span id * stack_cpus + cpu) -> open stack *)
@@ -346,7 +374,6 @@ let create ?(ring_capacity = 4096) ?(hist_capacity = 1024) () =
     hist_capacity = max 1 hist_capacity;
     cvals = Array.make n_counters 0;
     ctouched = Array.make n_counters false;
-    ccustom = Hashtbl.create 16;
     hists = Hashtbl.create 16;
     span_hists = [||];
     str_ids = Hashtbl.create 16;
@@ -369,7 +396,6 @@ let clear t =
   t.seq <- 0;
   Array.fill t.cvals 0 n_counters 0;
   Array.fill t.ctouched 0 n_counters false;
-  Hashtbl.reset t.ccustom;
   Hashtbl.reset t.hists;
   Array.iter (fun st -> st.sp_depth <- 0) t.stacks;
   t.span_hists <- [||];
@@ -406,36 +432,22 @@ let intern_str t s =
       Hashtbl.add t.str_ids s id;
       id
 
-let bump_custom t name n =
-  match Hashtbl.find t.ccustom name with
-  | r -> r := !r + n
-  | exception Not_found -> Hashtbl.add t.ccustom name (ref n)
-
 (* Counters are always live — they are the simulator's single event
    registry, asserted on by tests and benches that never enable the
    ring.  Only the cycle-stamped ring entry stays gated. *)
 let count_n t c n =
   let i = counter_index c in
-  if i >= 0 then begin
-    t.cvals.(i) <- t.cvals.(i) + n;
-    t.ctouched.(i) <- true;
-    if t.enabled then push t k_count i 0
-  end
-  else begin
-    let name = counter_name c in
-    bump_custom t name n;
-    if t.enabled then push t k_count_custom (intern_str t name) 0
-  end
+  t.cvals.(i) <- t.cvals.(i) + n;
+  t.ctouched.(i) <- true;
+  if t.enabled then push t k_count i 0
 
 let count t c = count_n t c 1
+let counter_value t c = t.cvals.(counter_index c)
 
-let counter_value t c =
-  let i = counter_index c in
-  if i >= 0 then t.cvals.(i)
-  else
-    match Hashtbl.find_opt t.ccustom (counter_name c) with
-    | Some r -> !r
-    | None -> 0
+type stamp = int array
+
+let stamp t = Array.copy t.cvals
+let since t s c = t.cvals.(counter_index c) - s.(counter_index c)
 
 let hist_of t name =
   match Hashtbl.find t.hists name with
@@ -600,8 +612,7 @@ let sorted_bindings tbl f =
 let event_of t idx =
   let code = t.r_code.(idx) in
   let kind = t.r_kind.(idx) in
-  if kind = k_count then Count all_counters.(code)
-  else if kind = k_count_custom then Count (Custom t.str_vals.(code))
+  if kind = k_count then Count (fst counters.(code))
   else if kind = k_begin then Span_begin !span_vals.(code)
   else if kind = k_end then Span_end (!span_vals.(code), t.r_arg.(idx))
   else Mark t.str_vals.(code)
@@ -622,10 +633,9 @@ let snapshot t =
       :: !events
   done;
   let counters =
-    let acc = ref (Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.ccustom []) in
+    let acc = ref [] in
     for i = n_counters - 1 downto 0 do
-      if t.ctouched.(i) then
-        acc := (counter_name all_counters.(i), t.cvals.(i)) :: !acc
+      if t.ctouched.(i) then acc := (snd counters.(i), t.cvals.(i)) :: !acc
     done;
     List.sort (fun (a, _) (b, _) -> String.compare a b) !acc
   in

@@ -16,8 +16,10 @@
     with {!set_now} (the simulator points it at its [Clock]). *)
 
 (** Typed architectural event counters — the simulator's single event
-    registry.  Counters are {e always} live (see {!count}); only the
-    cycle-stamped ring is gated behind {!enable}. *)
+    registry: every count is one of these constructors, and per-instance
+    detail (which op was denied, which injection site fired) goes into
+    the ring as a {!mark}.  Counters are {e always} live (see {!count});
+    only the cycle-stamped ring is gated behind {!enable}. *)
 type counter =
   | Tlb_flush_full
   | Tlb_flush_asid
@@ -86,7 +88,23 @@ type counter =
   | Slab_cpu_hit  (** kalloc served from the per-CPU magazine *)
   | Slab_cpu_refill  (** per-CPU magazine refilled from the global list *)
   | Slab_cpu_flush  (** per-CPU magazine overflow flushed back *)
-  | Custom of string
+  | Smi  (** system-management interrupt raised *)
+  | Dma_write  (** device DMA write into physical memory *)
+  | Trap  (** trap delivered through the IDT *)
+  | Cr_write  (** [mov %cr] executed by simulated code *)
+  | Wrmsr  (** [wrmsr] executed by simulated code *)
+  | Vmcall  (** VMCALL round trip (hypervisor baseline, Table 3) *)
+  | Asid_recycle  (** ASID slot stolen from a live address space *)
+  | Sched_epoch  (** per-domain run-queue credits refilled *)
+  | Xdom_denied
+      (** cross-domain operation denied; the op is in the ring as an
+          [xdom_denied_<op>] mark *)
+  | Domain_create
+  | Domain_enter
+  | Domain_destroy
+  | Pipe_send  (** word sent over a cross-domain pipe *)
+  | Install_code  (** outer-kernel code frames validated and sealed *)
+  | Retire_code  (** validated code frames returned to data *)
 
 val counter_name : counter -> string
 
@@ -180,6 +198,16 @@ val count : t -> counter -> unit
 val count_n : t -> counter -> int -> unit
 val counter_value : t -> counter -> int
 
+type stamp
+(** Every counter's value at one instant. *)
+
+val stamp : t -> stamp
+(** Copy the counters now; {!since} reads deltas against the copy. *)
+
+val since : t -> stamp -> counter -> int
+(** How far [counter] moved since the stamp was taken (an array
+    subtraction).  A {!clear} in between makes the delta meaningless. *)
+
 val span_begin : t -> span_id -> unit
 
 val span_end : t -> span_id -> unit
@@ -193,7 +221,9 @@ val observe : t -> string -> int -> unit
     measured outside the span mechanism). *)
 
 val mark : t -> string -> unit
-(** Drop a named point event into the ring. *)
+(** Drop a named point event into the ring (only while enabled).  A
+    call site that builds the name should test {!enabled} first, so an
+    untraced run builds no string. *)
 
 val histogram : t -> string -> hist_summary option
 val snapshot : t -> snapshot

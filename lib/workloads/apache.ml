@@ -127,9 +127,9 @@ let measure_cpu config ~requests ~size =
     done
   in
   serve 1 (* warm-up, as before *);
-  let before = Clock.cycles m.Machine.clock in
+  let w = Window.start m in
   serve requests;
-  Costs.cycles_to_s (Clock.cycles m.Machine.clock - before)
+  Costs.cycles_to_s (Window.cycles w)
 
 let bandwidth ~requests ~size ~cpu_s =
   let total_bytes = float_of_int (requests * size) in

@@ -22,15 +22,8 @@ let run ?(iterations = 100_000) () =
   | Error e -> failwith e);
   let measure f =
     (* Warm caches/TLB before timing. *)
-    for _ = 1 to 16 do
-      f ()
-    done;
-    let before = Clock.cycles m.Machine.clock in
-    for _ = 1 to iterations do
-      f ()
-    done;
-    let cycles = Clock.cycles m.Machine.clock - before in
-    Costs.cycles_to_us cycles /. float_of_int iterations
+    let w = Window.repeat ~warm:16 m iterations f in
+    Costs.cycles_to_us (Window.cycles w) /. float_of_int iterations
   in
   let nk_call_us =
     measure (fun () ->
@@ -49,7 +42,7 @@ let run ?(iterations = 100_000) () =
   let vmcall_us =
     measure (fun () ->
         Machine.charge m m.Machine.costs.Costs.vmcall_roundtrip;
-        Machine.count_ev m (Nktrace.Custom "vmcall"))
+        Machine.count_ev m Nktrace.Vmcall)
   in
   { nk_call_us; syscall_us; vmcall_us; iterations }
 

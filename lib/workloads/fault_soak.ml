@@ -133,19 +133,13 @@ let run ?(ops = 20000) ?(rate = 0.01) ?(sites = Nkinject.all_sites)
   (* Disarm for the final audits: they judge the state the faults left
      behind, and must not themselves be perturbed. *)
   Nkinject.set_armed inj false;
-  (* Drain the deferred-unmap queue so the final audit covers a fully
-     settled machine: every lazily deferred flush must by now have
-     been issued (deferred = drained), or the last batch was lost. *)
-  Nested_kernel.Api.nk_flush_all_deferred nk;
+  (* The close-out's tail (the oracle here is the raising one boot
+     installed): the drain leaves the final audit a fully settled
+     machine, where every lazily deferred flush must by now have been
+     issued (deferred = drained), or the last batch was lost. *)
+  let swept, invariant_failures = Harness.settle nk in
+  violations := !violations + swept;
   let counter ev = Nktrace.counter_value m.Machine.trace ev in
-  let flush_deferred = counter Nktrace.Flush_deferred in
-  let flush_drained = counter Nktrace.Flush_on_reuse in
-  let deferred_live = Nested_kernel.Api.nk_deferred_live nk in
-  let invariant_failures = List.length (Nested_kernel.Api.audit nk) in
-  let final_violations =
-    Nested_kernel.Api.Diagnostics.Coherence.snapshot ~op:"soak-final" nk
-  in
-  violations := !violations + List.length final_violations;
   {
     seed;
     rate;
@@ -158,9 +152,9 @@ let run ?(ops = 20000) ?(rate = 0.01) ?(sites = Nkinject.all_sites)
     escapes = List.rev !escapes;
     coherence_violations = !violations;
     invariant_failures;
-    flush_deferred;
-    flush_drained;
-    deferred_live;
+    flush_deferred = counter Nktrace.Flush_deferred;
+    flush_drained = counter Nktrace.Flush_on_reuse;
+    deferred_live = Nested_kernel.Api.nk_deferred_live nk;
     cycles = Clock.cycles m.Machine.clock;
   }
 

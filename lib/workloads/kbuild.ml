@@ -80,14 +80,12 @@ let measure config ~units =
   ignore (ok (Syscalls.execve k make ~text_pages:12 ~data_pages:6 "/bin/sh"));
   (* Warm the system with one unit, then build from clean. *)
   compile_unit k make ~index:0;
-  let before = Clock.cycles m.Machine.clock in
-  let user_before = ref 0 in
-  ignore user_before;
+  let w = Window.start m in
   for i = 0 to units - 1 do
     compile_unit k make ~index:i
   done;
   link k make ~units;
-  let cycles = Clock.cycles m.Machine.clock - before in
+  let cycles = Window.cycles w in
   let user_cycles = (units * compile_cycles) + (compile_cycles / 2) in
   let sys_cycles = cycles - user_cycles in
   ( Costs.cycles_to_s cycles,

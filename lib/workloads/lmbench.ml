@@ -151,20 +151,10 @@ let benches =
 
 let measure ?iterations config ~batched bench =
   let k = Os.boot ~batched config in
-  let m = k.Kernel.machine in
-  let p = Kernel.current_proc k in
-  let thunk = bench.setup k p in
+  let thunk = bench.setup k (Kernel.current_proc k) in
   let n = Option.value ~default:bench.iterations iterations in
-  let warm = max 2 (n / 20) in
-  for _ = 1 to warm do
-    thunk ()
-  done;
-  let before = Clock.cycles m.Machine.clock in
-  for _ = 1 to n do
-    thunk ()
-  done;
-  let cycles = Clock.cycles m.Machine.clock - before in
-  Costs.cycles_to_us cycles /. float_of_int n
+  let w = Window.repeat ~warm:(max 2 (n / 20)) k.Kernel.machine n thunk in
+  Costs.cycles_to_us (Window.cycles w) /. float_of_int n
 
 let measure_traced ?iterations config ~batched bench =
   let k = Os.boot ~batched ~trace:true config in

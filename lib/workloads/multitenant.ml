@@ -54,13 +54,6 @@ type point = {
   audit_failures : int;
 }
 
-let default_seed = 42
-
-let env_seed () =
-  match Sys.getenv_opt "NKSIM_SCHED_SEED" with
-  | Some s -> ( match int_of_string_opt s with Some n -> n | None -> default_seed)
-  | None -> default_seed
-
 let tenant_counts = [ 4; 8; 16 ]
 let configs = [ Config.Perspicuos; Config.Native; Config.Hyper ]
 let cpus = 8
@@ -80,8 +73,8 @@ let ok = function
   | Ok v -> v
   | Error e -> failwith ("multitenant: " ^ Ktypes.errno_to_string e)
 
-let run_one ?(seed = default_seed) ?(tenants = 8) ?(conns = default_conns)
-    ~config () =
+let run_one ?(seed = Harness.default_seed) ?(tenants = 8)
+    ?(conns = default_conns) ~config () =
   let host0 = Sys.time () in
   let isolated = Config.is_nested config in
   let k =
@@ -91,14 +84,7 @@ let run_one ?(seed = default_seed) ?(tenants = 8) ?(conns = default_conns)
       config
   in
   let m = k.Kernel.machine in
-  let trace = m.Machine.trace in
-  let violations = ref 0 in
-  (match k.Kernel.nk with
-  | Some nk ->
-      Nested_kernel.Api.Diagnostics.Coherence.enable
-        ~on_violation:(fun vs -> violations := !violations + List.length vs)
-        nk
-  | None -> ());
+  let h = Harness.arm k in
   let sched = Sched.create k in
   if isolated then Sched.set_domain_credits sched ~quantum:4;
   let p0 = Kernel.current_proc k in
@@ -148,11 +134,7 @@ let run_one ?(seed = default_seed) ?(tenants = 8) ?(conns = default_conns)
              ())
       done
   | _ -> ());
-  let counter name = Nktrace.counter_value trace (Nktrace.Custom name) in
-  let denied0 = counter "xdom_denied" in
-  let vmcall0 = counter "vmcall" in
-  let epoch0 = counter "sched_epoch" in
-  let cyc0 = Clock.cycles m.Machine.clock in
+  let w = Window.start m in
   let steps = (600 + (conns / 4)) * max 1 (tenants / 2) in
   let taken =
     Sched.run_smp sched
@@ -203,23 +185,10 @@ let run_one ?(seed = default_seed) ?(tenants = 8) ?(conns = default_conns)
             true
         | _ -> true)
   in
-  let cycles = Clock.cycles m.Machine.clock - cyc0 in
-  (match k.Kernel.nk with
-  | Some nk ->
-      Nested_kernel.Api.nk_flush_all_deferred nk;
-      violations :=
-        !violations
-        + List.length
-            (Nested_kernel.Api.Diagnostics.Coherence.snapshot
-               ~op:"multitenant-final" nk)
-  | None -> ());
-  let audit_failures =
-    match k.Kernel.nk with
-    | Some nk -> List.length (Nested_kernel.Api.audit nk)
-    | None -> 0
-  in
+  let cycles = Window.cycles w in
+  let _, audit_failures = Harness.close h in
   let p50, p99, p999 =
-    match Nktrace.histogram trace Loadgen.hist_name with
+    match Nktrace.histogram m.Machine.trace Loadgen.hist_name with
     | Some h -> (h.Nktrace.p50, h.Nktrace.p99, h.Nktrace.p999)
     | None -> (0, 0, 0)
   in
@@ -246,7 +215,8 @@ let run_one ?(seed = default_seed) ?(tenants = 8) ?(conns = default_conns)
   in
   let completed = List.fold_left (fun a t -> a + t.t_completed) 0 per_tenant in
   (* Tear every tenant down through the full accounting path; what the
-     nested kernel still finds owner-marked is an outer-kernel leak. *)
+     nested kernel still finds owner-marked is an outer-kernel leak.
+     The oracle stays armed, so violations are read afterwards. *)
   let teardown_leaks =
     if isolated then
       Array.fold_left
@@ -271,19 +241,19 @@ let run_one ?(seed = default_seed) ?(tenants = 8) ?(conns = default_conns)
     throughput =
       (if cycles = 0 then 0.0
        else 1_000_000.0 *. float_of_int completed /. float_of_int cycles);
-    xdom_denials = counter "xdom_denied" - denied0;
-    vmcalls = counter "vmcall" - vmcall0;
-    sched_epochs = counter "sched_epoch" - epoch0;
+    xdom_denials = Window.count w Nktrace.Xdom_denied;
+    vmcalls = Window.count w Nktrace.Vmcall;
+    sched_epochs = Window.count w Nktrace.Sched_epoch;
     pipe_words = !pipe_words;
     teardown_leaks;
     cycles;
     host_secs = Sys.time () -. host0;
-    oracle_violations = !violations;
+    oracle_violations = Harness.violations h;
     audit_failures;
   }
 
 let run ?seed ?(tenant_counts = tenant_counts) ?(conns = default_conns) () =
-  let seed = match seed with Some s -> s | None -> env_seed () in
+  let seed = match seed with Some s -> s | None -> Harness.env_seed () in
   List.concat_map
     (fun tenants ->
       List.map
@@ -298,7 +268,7 @@ let to_table points =
         "Multi-tenant serving: N tenant domains, %d vCPUs, per-domain \
          credits (sched seed %d)"
         cpus
-        (match points with p :: _ -> p.seed | [] -> default_seed);
+        (match points with p :: _ -> p.seed | [] -> Harness.default_seed);
     columns =
       [
         "config"; "tenants"; "conns/t"; "reqs"; "req/Mcyc"; "p50"; "p99";

@@ -39,7 +39,6 @@ type point = {
   audit_failures : int;
 }
 
-val default_seed : int
 val cpus : int
 val tenant_counts : int list
 val configs : Config.t list

@@ -39,13 +39,6 @@ type point = {
   audit_failures : int;
 }
 
-let default_seed = 42
-
-let env_seed () =
-  match Sys.getenv_opt "NKSIM_SCHED_SEED" with
-  | Some s -> ( match int_of_string_opt s with Some n -> n | None -> default_seed)
-  | None -> default_seed
-
 let conn_counts = [ 1_000; 5_000; 10_000; 50_000; 100_000 ]
 let configs = [ Config.Native; Config.Perspicuos ]
 let cpus = 8
@@ -58,29 +51,22 @@ let ok = function
    the fd table at whatever size the run left it — the flatness probe
    for the two-level-bitmap allocator. *)
 let fd_op_probe k p =
-  let m = k.Kernel.machine in
   let rounds = 64 in
-  let before = Clock.cycles m.Machine.clock in
-  for _ = 1 to rounds do
-    let fd = ok (Syscalls.open_ k p "/srv/fdprobe") in
-    ignore (ok (Syscalls.close k p fd))
-  done;
-  (Clock.cycles m.Machine.clock - before) / rounds
+  let w =
+    Window.repeat k.Kernel.machine rounds (fun () ->
+        let fd = ok (Syscalls.open_ k p "/srv/fdprobe") in
+        ignore (ok (Syscalls.close k p fd)))
+  in
+  Window.cycles w / rounds
 
-let run_one ?(seed = default_seed) ?(et = false) ~config conns =
+let run_one ?(seed = Harness.default_seed) ?(et = false) ~config conns =
   let host0 = Sys.time () in
   let k =
     Os.boot ~batched:true ~trace:true ~cpus ~frames:16384 config
   in
   let m = k.Kernel.machine in
   let trace = m.Machine.trace in
-  let violations = ref 0 in
-  (match k.Kernel.nk with
-  | Some nk ->
-      Nested_kernel.Api.Diagnostics.Coherence.enable
-        ~on_violation:(fun vs -> violations := !violations + List.length vs)
-        nk
-  | None -> ());
+  let h = Harness.arm k in
   let sched = Sched.create k in
   let p0 = Kernel.current_proc k in
   let lfd0 = ok (Syscalls.listen k p0 ~backlog:16384) in
@@ -114,14 +100,7 @@ let run_one ?(seed = default_seed) ?(et = false) ~config conns =
         gen = Kvserver.gen;
       }
   in
-  let counter ev = Nktrace.counter_value trace ev in
-  let local0 = counter Nktrace.Accept_local in
-  let steal0 = counter Nktrace.Accept_steal in
-  let drop0 = counter Nktrace.Sock_backlog_drop in
-  let wake0 = counter Nktrace.Epoll_wakeup in
-  let hit0 = counter Nktrace.Slab_cpu_hit in
-  let refill0 = counter Nktrace.Slab_cpu_refill in
-  let cyc0 = Clock.cycles m.Machine.clock in
+  let w = Window.start m in
   let steps = 800 + (conns / 100) in
   let taken =
     Sched.run_smp sched
@@ -148,20 +127,7 @@ let run_one ?(seed = default_seed) ?(et = false) ~config conns =
       workers None
   in
   let fd_op_cycles = fd_op_probe k (Option.get fat) in
-  (match k.Kernel.nk with
-  | Some nk ->
-      Nested_kernel.Api.nk_flush_all_deferred nk;
-      violations :=
-        !violations
-        + List.length
-            (Nested_kernel.Api.Diagnostics.Coherence.snapshot
-               ~op:"server-scale-final" nk)
-  | None -> ());
-  let audit_failures =
-    match k.Kernel.nk with
-    | Some nk -> List.length (Nested_kernel.Api.audit nk)
-    | None -> 0
-  in
+  let oracle_violations, audit_failures = Harness.close h in
   let p50, p99, p999 =
     match Nktrace.histogram trace Loadgen.hist_name with
     | Some h -> (h.Nktrace.p50, h.Nktrace.p99, h.Nktrace.p999)
@@ -191,20 +157,20 @@ let run_one ?(seed = default_seed) ?(et = false) ~config conns =
     p99;
     p999;
     fd_op_cycles;
-    accepts_local = counter Nktrace.Accept_local - local0;
-    accepts_steal = counter Nktrace.Accept_steal - steal0;
-    backlog_drops = counter Nktrace.Sock_backlog_drop - drop0;
-    epoll_wakeups = counter Nktrace.Epoll_wakeup - wake0;
-    slab_hits = counter Nktrace.Slab_cpu_hit - hit0;
-    slab_refills = counter Nktrace.Slab_cpu_refill - refill0;
-    cycles = Clock.cycles m.Machine.clock - cyc0;
+    accepts_local = Window.count w Nktrace.Accept_local;
+    accepts_steal = Window.count w Nktrace.Accept_steal;
+    backlog_drops = Window.count w Nktrace.Sock_backlog_drop;
+    epoll_wakeups = Window.count w Nktrace.Epoll_wakeup;
+    slab_hits = Window.count w Nktrace.Slab_cpu_hit;
+    slab_refills = Window.count w Nktrace.Slab_cpu_refill;
+    cycles = Window.cycles w;
     host_secs = Sys.time () -. host0;
-    oracle_violations = !violations;
+    oracle_violations;
     audit_failures;
   }
 
 let run ?seed ?et ?(conn_counts = conn_counts) () =
-  let seed = match seed with Some s -> s | None -> env_seed () in
+  let seed = match seed with Some s -> s | None -> Harness.env_seed () in
   List.concat_map
     (fun config ->
       List.map (fun conns -> run_one ~seed ?et ~config conns) conn_counts)
@@ -217,7 +183,7 @@ let to_table points =
         "Server scaling: kv server, %d vCPUs, 1k..100k live connections \
          (sched seed %d)"
         cpus
-        (match points with p :: _ -> p.seed | [] -> default_seed);
+        (match points with p :: _ -> p.seed | [] -> Harness.default_seed);
     columns =
       [
         "config"; "conns"; "live peak"; "reqs"; "p50"; "p99"; "p999";

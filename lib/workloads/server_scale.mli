@@ -41,11 +41,6 @@ type point = {
   audit_failures : int;
 }
 
-val default_seed : int
-
-val env_seed : unit -> int
-(** [NKSIM_SCHED_SEED], or {!default_seed}. *)
-
 val conn_counts : int list
 (** 1k, 5k, 10k, 50k, 100k. *)
 

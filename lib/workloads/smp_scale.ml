@@ -25,28 +25,13 @@ type point = {
   audit_failures : int;
 }
 
-let default_seed = 42
-
-let env_seed () =
-  match Sys.getenv_opt "NKSIM_SCHED_SEED" with
-  | Some s -> ( match int_of_string_opt s with Some n -> n | None -> default_seed)
-  | None -> default_seed
-
-let run_one ?(seed = default_seed) ?(procs = 8) ?(steps = 4000)
+let run_one ?(seed = Harness.default_seed) ?(procs = 8) ?(steps = 4000)
     ?(coherence = false) cpus =
   (* The batched vMMU backend is the whole point at scale: without it
      fork's COW downgrades go through per-PTE writes and the per-batch
      shootdown coalescer never runs at all. *)
   let k = Os.boot ~batched:true ~cpus Config.Perspicuos in
-  let violations = ref 0 in
-  (match k.Kernel.nk with
-  | Some nk when coherence ->
-      (* The oracle never charges simulated cycles, so a checked run
-         reproduces the unchecked numbers byte-for-byte. *)
-      Nested_kernel.Api.Diagnostics.Coherence.enable
-        ~on_violation:(fun vs -> violations := !violations + List.length vs)
-        nk
-  | _ -> ());
+  let h = Harness.arm ~oracle:coherence k in
   let sched = Sched.create k in
   let p0 = Kernel.current_proc k in
   for _ = 2 to procs do
@@ -57,19 +42,7 @@ let run_one ?(seed = default_seed) ?(procs = 8) ?(steps = 4000)
     | Ok pid -> Sched.add_on sched pid 0
     | Error _ -> ()
   done;
-  let m = k.Kernel.machine in
-  let trace = m.Nkhw.Machine.trace in
-  let counter ev = Nktrace.counter_value trace ev in
-  let sys0 = counter Nktrace.Syscall in
-  let steal0 = counter Nktrace.Sched_steal in
-  let mig0 = counter Nktrace.Cpu_migration in
-  let ipi0 = counter Nktrace.Ipi_shootdown in
-  let sent0 = counter Nktrace.Shootdown_sent in
-  let filt0 = counter Nktrace.Shootdown_filtered in
-  let coal0 = counter Nktrace.Shootdown_coalesced in
-  let defer0 = counter Nktrace.Flush_deferred in
-  let reuse0 = counter Nktrace.Flush_on_reuse in
-  let cyc0 = Nkhw.Clock.cycles m.Nkhw.Machine.clock in
+  let w = Nkhw.Window.start k.Kernel.machine in
   let tick = ref 0 in
   let taken =
     Sched.run_smp sched
@@ -113,28 +86,15 @@ let run_one ?(seed = default_seed) ?(procs = 8) ?(steps = 4000)
               | Ok _ -> ignore (Syscalls.fork k p));
         true)
   in
-  (* Drain the deferred-unmap queue before the books close: whatever
-     is still queued was deferred but never reached a reuse barrier,
-     and the final defer/reuse counters must account for every record
-     (defer = reuse), not all-but-the-last-batch. *)
-  (match k.Kernel.nk with
-  | Some nk -> Nested_kernel.Api.nk_flush_all_deferred nk
-  | None -> ());
-  (match k.Kernel.nk with
-  | Some nk when coherence ->
-      violations :=
-        !violations
-        + List.length
-            (Nested_kernel.Api.Diagnostics.Coherence.snapshot
-               ~op:"smp-scale-final" nk)
-  | _ -> ());
-  let audit_failures =
-    match k.Kernel.nk with
-    | Some nk -> List.length (Nested_kernel.Api.audit nk)
-    | None -> 0
-  in
-  let syscalls = counter Nktrace.Syscall - sys0 in
-  let cycles = Nkhw.Clock.cycles m.Nkhw.Machine.clock - cyc0 in
+  (* The close-out drains the deferred-unmap queue before the books
+     close: whatever is still queued was deferred but never reached a
+     reuse barrier, and the final defer/reuse counters must account
+     for every record (defer = reuse), not all-but-the-last-batch.
+     The window stays open through it. *)
+  let oracle_violations, audit_failures = Harness.close h in
+  let count = Nkhw.Window.count w in
+  let syscalls = count Nktrace.Syscall in
+  let cycles = Nkhw.Window.cycles w in
   {
     cpus;
     seed;
@@ -144,22 +104,22 @@ let run_one ?(seed = default_seed) ?(procs = 8) ?(steps = 4000)
     throughput = float_of_int syscalls /. (float_of_int cycles /. 1e6);
     shootdowns =
       List.init cpus (fun id -> Nkhw.Smp.shootdowns_rx k.Kernel.smp id);
-    ipis = counter Nktrace.Ipi_shootdown - ipi0;
-    sent = counter Nktrace.Shootdown_sent - sent0;
-    filtered = counter Nktrace.Shootdown_filtered - filt0;
-    coalesced = counter Nktrace.Shootdown_coalesced - coal0;
-    deferred = counter Nktrace.Flush_deferred - defer0;
-    reuse = counter Nktrace.Flush_on_reuse - reuse0;
-    steals = counter Nktrace.Sched_steal - steal0;
-    migrations = counter Nktrace.Cpu_migration - mig0;
-    oracle_violations = !violations;
+    ipis = count Nktrace.Ipi_shootdown;
+    sent = count Nktrace.Shootdown_sent;
+    filtered = count Nktrace.Shootdown_filtered;
+    coalesced = count Nktrace.Shootdown_coalesced;
+    deferred = count Nktrace.Flush_deferred;
+    reuse = count Nktrace.Flush_on_reuse;
+    steals = count Nktrace.Sched_steal;
+    migrations = count Nktrace.Cpu_migration;
+    oracle_violations;
     audit_failures;
   }
 
 let cpu_counts = [ 1; 2; 4; 8 ]
 
 let run ?seed ?procs ?steps ?coherence () =
-  let seed = match seed with Some s -> s | None -> env_seed () in
+  let seed = match seed with Some s -> s | None -> Harness.env_seed () in
   List.map (fun cpus -> run_one ~seed ?procs ?steps ?coherence cpus) cpu_counts
 
 let to_table points =
@@ -167,7 +127,7 @@ let to_table points =
     Stats.title =
       Printf.sprintf
         "SMP scaling: identical workload, 1..8 vCPUs (sched seed %d)"
-        (match points with p :: _ -> p.seed | [] -> default_seed);
+        (match points with p :: _ -> p.seed | [] -> Harness.default_seed);
     columns =
       [
         "CPUs"; "syscalls"; "Mcycles"; "sys/Mcycle"; "shootdowns rx/CPU";

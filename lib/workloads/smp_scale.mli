@@ -24,11 +24,6 @@ type point = {
   audit_failures : int;  (** nested-kernel invariant violations at the end *)
 }
 
-val default_seed : int
-
-val env_seed : unit -> int
-(** [NKSIM_SCHED_SEED] if set and numeric, else {!default_seed}. *)
-
 val cpu_counts : int list
 (** The sweep: [1; 2; 4; 8]. *)
 
@@ -44,6 +39,7 @@ val run_one :
 val run :
   ?seed:int -> ?procs:int -> ?steps:int -> ?coherence:bool -> unit ->
   point list
-(** {!run_one} across {!cpu_counts}; seed defaults to {!env_seed}. *)
+(** {!run_one} across {!cpu_counts}; seed defaults to
+    {!Harness.env_seed}. *)
 
 val to_table : point list -> Stats.table

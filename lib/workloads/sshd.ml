@@ -60,19 +60,13 @@ let transfer_once k (parent : Proc.t) ~path ~size =
 let measure_config config ~transfers ~size =
   let path = "/srv/file" in
   let k = Os.boot_with_files config [ (path, size) ] in
-  let m = k.Kernel.machine in
   let parent = Kernel.current_proc k in
-  (* socket sink fd for the write syscalls *)
-  transfer_once k parent ~path ~size;
-  (* warm-up transfer above; measure the rest *)
-  let before = Clock.cycles m.Machine.clock in
-  for _ = 1 to transfers do
-    transfer_once k parent ~path ~size
-  done;
-  let cpu_s =
-    Costs.cycles_to_s (Clock.cycles m.Machine.clock - before)
-    /. float_of_int transfers
+  (* One warm-up transfer, then measure the rest. *)
+  let w =
+    Window.repeat ~warm:1 k.Kernel.machine transfers (fun () ->
+        transfer_once k parent ~path ~size)
   in
+  let cpu_s = Costs.cycles_to_s (Window.cycles w) /. float_of_int transfers in
   (* scp-style half-duplex: wire time adds to the CPU time. *)
   let wire_s = float_of_int size /. wire_bytes_per_sec in
   let total_s = cpu_s +. wire_s in

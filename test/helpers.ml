@@ -12,10 +12,7 @@ let kernel config = Outer_kernel.Os.boot ~frames:4096 config
 (* CI runs the suite twice with different NKSIM_SCHED_SEED values to
    flush out interleaving-dependent assertions; tests that drive the
    SMP executor should take their seed from here. *)
-let sched_seed =
-  match Sys.getenv_opt "NKSIM_SCHED_SEED" with
-  | Some s -> ( match int_of_string_opt s with Some n -> n | None -> 42)
-  | None -> 42
+let sched_seed = Nk_workloads.Harness.env_seed ()
 
 let errno = Alcotest.testable
     (fun ppf e -> Format.pp_print_string ppf (Outer_kernel.Ktypes.errno_to_string e))

@@ -226,8 +226,7 @@ let test_credit_starvation_bound () =
     true
     (!victim_runs * 6 >= !total);
   let epochs =
-    Nktrace.counter_value k.Kernel.machine.Machine.trace
-      (Nktrace.Custom "sched_epoch")
+    Nktrace.counter_value k.Kernel.machine.Machine.trace Nktrace.Sched_epoch
   in
   Alcotest.(check bool) "credit epochs cycled" true (epochs > 0)
 

@@ -222,13 +222,9 @@ let test_sched_context_switch_costs_more_nested () =
     let sched = Sched.create k in
     let a = Result.get_ok (Syscalls.fork k p) in
     Sched.add sched a;
-    ignore (Sched.yield sched);
-    ignore (Sched.yield sched);
-    let snap = Clock.snapshot k.Kernel.machine.Machine.clock in
-    for _ = 1 to 20 do
-      ignore (Sched.yield sched)
-    done;
-    Clock.cycles_since k.Kernel.machine.Machine.clock snap
+    Window.cycles
+      (Window.repeat ~warm:2 k.Kernel.machine 20 (fun () ->
+           ignore (Sched.yield sched)))
   in
   let n = measure (native ()) and g = measure (nested ()) in
   Alcotest.(check bool)

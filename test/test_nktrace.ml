@@ -34,16 +34,105 @@ let test_counters () =
   Nktrace.enable t;
   Nktrace.count t Nktrace.Syscall;
   Nktrace.count_n t Nktrace.Syscall 4;
-  Nktrace.count t (Nktrace.Custom "frob");
   Alcotest.(check int) "accumulated" 5
     (Nktrace.counter_value t Nktrace.Syscall);
-  Alcotest.(check int) "custom" 1
-    (Nktrace.counter_value t (Nktrace.Custom "frob"));
   let snap = Nktrace.snapshot t in
-  Alcotest.(check int) "sorted counter list" 2
-    (List.length snap.Nktrace.counters);
-  Alcotest.(check (option int)) "by name" (Some 5)
-    (List.assoc_opt "syscall" snap.Nktrace.counters)
+  Alcotest.(check (list (pair string int))) "by name" [ ("syscall", 5) ]
+    snap.Nktrace.counters
+
+(* The registry, pinned: every constructor with the name it reports
+   under.  A constructor missing from the library's table, a wrong
+   index or a renamed counter fails here. *)
+let registry =
+  Nktrace.
+    [
+      (Tlb_flush_full, "tlb_flush_full");
+      (Tlb_flush_asid, "tlb_flush_asid");
+      (Tlb_flush_page, "tlb_flush_page");
+      (Tlb_flush_span, "tlb_flush_span");
+      (Tlb_hit, "tlb_hit");
+      (Tlb_miss, "tlb_miss");
+      (Pte_write, "pte_write");
+      (Pte_write_batch, "pte_write_batch");
+      (Declare_ptp, "declare_ptp");
+      (Remove_ptp, "remove_ptp");
+      (Load_cr0, "load_cr0");
+      (Load_cr3, "load_cr3");
+      (Load_cr3_pcid, "load_cr3_pcid");
+      (Load_cr4, "load_cr4");
+      (Load_efer, "load_efer");
+      (Nk_enter, "nk_enter");
+      (Nk_declare, "nk_declare");
+      (Nk_alloc, "nk_alloc");
+      (Nk_free, "nk_free");
+      (Nk_write, "nk_write");
+      (Nk_write_denied, "nk_write_denied");
+      (Colocated_trap, "colocated_trap");
+      (Colocated_emulated_write, "colocated_emulated_write");
+      (Syscall, "syscall");
+      (Context_switch, "context_switch");
+      (Fork, "fork");
+      (Fork_vm, "fork_vm");
+      (Exec, "exec");
+      (Exit, "exit");
+      (Vm_fault, "vm_fault");
+      (Cow_copy, "cow_copy");
+      (Vm_destroy, "vm_destroy");
+      (Cpu_migration, "cpu_migration");
+      (Cpu_borrow, "smp_borrow");
+      (Ipi_reschedule, "ipi_reschedule");
+      (Ipi_shootdown, "ipi_shootdown");
+      (Ipi_halt, "ipi_halt");
+      (Shootdown_sent, "shootdown_sent");
+      (Shootdown_filtered, "shootdown_filtered");
+      (Shootdown_coalesced, "shootdown_coalesced");
+      (Flush_deferred, "flush_deferred");
+      (Flush_on_reuse, "flush_on_reuse");
+      (Sched_steal, "sched_steal");
+      (Signal_delivered, "signal_delivered");
+      (Syslog_event, "syslog_event");
+      (Syslog_flush, "syslog_flush");
+      (Sock_conn_open, "sock_conn_open");
+      (Sock_conn_close, "sock_conn_close");
+      (Sock_backlog_drop, "sock_backlog_drop");
+      (Accept_local, "accept_local");
+      (Accept_steal, "accept_steal");
+      (Epoll_wakeup, "epoll_wakeup");
+      (Slab_cpu_hit, "slab_cpu_hit");
+      (Slab_cpu_refill, "slab_cpu_refill");
+      (Slab_cpu_flush, "slab_cpu_flush");
+      (Smi, "smi");
+      (Dma_write, "dma_write");
+      (Trap, "trap");
+      (Cr_write, "cr_write");
+      (Wrmsr, "wrmsr");
+      (Vmcall, "vmcall");
+      (Asid_recycle, "asid_recycle");
+      (Sched_epoch, "sched_epoch");
+      (Xdom_denied, "xdom_denied");
+      (Domain_create, "domain_create");
+      (Domain_enter, "domain_enter");
+      (Domain_destroy, "domain_destroy");
+      (Pipe_send, "pipe_send");
+      (Install_code, "install_code");
+      (Retire_code, "retire_code");
+    ]
+
+let test_registry_pinned () =
+  let t = Nktrace.create () in
+  Nktrace.enable t;
+  let bump (c, _) = Nktrace.count t c in
+  let w0 = Gc.minor_words () in
+  List.iter bump registry;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check (float 0.)) "bumps allocate nothing" 0. words;
+  Alcotest.(check (list (pair string int))) "every counter once, by name"
+    (List.sort compare (List.map (fun (_, name) -> (name, 1)) registry))
+    (Nktrace.snapshot t).Nktrace.counters;
+  List.iter
+    (fun (c, name) ->
+      Alcotest.(check string) name name (Nktrace.counter_name c))
+    registry
 
 let test_ring_overwrite () =
   let t = Nktrace.create ~ring_capacity:4 () in
@@ -350,6 +439,7 @@ let suite =
   [
     Alcotest.test_case "disabled tracer is a no-op" `Quick test_disabled_is_noop;
     Alcotest.test_case "typed counters" `Quick test_counters;
+    Alcotest.test_case "counter registry pinned" `Quick test_registry_pinned;
     Alcotest.test_case "ring overwrite and dropped accounting" `Quick
       test_ring_overwrite;
     Alcotest.test_case "exact percentiles" `Quick test_percentiles;

@@ -59,20 +59,27 @@ let test_smm_no_handler () =
   let m = Machine.create ~frames:8 () in
   Alcotest.(check bool) "no handler" true (Smm.trigger_smi m = Smm.No_handler)
 
-let test_clock_counters () =
-  let c = Clock.create () in
-  Clock.charge c 100;
-  Clock.count c "x";
-  Clock.count_n c "x" 4;
-  let snap = Clock.snapshot c in
-  Clock.charge c 50;
-  Clock.count c "x";
-  Alcotest.(check int) "cycles" 150 (Clock.cycles c);
-  Alcotest.(check int) "counter" 6 (Clock.counter c "x");
-  Alcotest.(check int) "cycles since" 50 (Clock.cycles_since c snap);
-  Alcotest.(check int) "counter since" 1 (Clock.counter_since c snap "x");
-  Clock.reset c;
-  Alcotest.(check int) "reset" 0 (Clock.cycles c)
+let test_window () =
+  let m = Machine.create ~frames:8 () in
+  Machine.charge m 100;
+  Nktrace.count_n m.Machine.trace Nktrace.Smi 5;
+  let w = Window.start m in
+  Machine.charge m 50;
+  ignore (Smm.trigger_smi m);
+  Alcotest.(check int) "cycles" 150 (Clock.cycles m.Machine.clock);
+  Alcotest.(check int) "counter" 6
+    (Nktrace.counter_value m.Machine.trace Nktrace.Smi);
+  Alcotest.(check int) "cycles in the window" 50 (Window.cycles w);
+  Alcotest.(check int) "counter in the window" 1 (Window.count w Nktrace.Smi);
+  Alcotest.(check int) "untouched counter" 0 (Window.count w Nktrace.Dma_write);
+  let calls = ref 0 in
+  let w =
+    Window.repeat ~warm:3 m 4 (fun () ->
+        incr calls;
+        Machine.charge m 10)
+  in
+  Alcotest.(check int) "warm runs outside the window" 7 !calls;
+  Alcotest.(check int) "timed runs inside" 40 (Window.cycles w)
 
 let test_costs_calibration () =
   Alcotest.(check bool) "syscall/vmcall ratio as Table 3" true
@@ -91,6 +98,6 @@ let suite =
     Alcotest.test_case "smm unprotected" `Quick test_smm_unprotected;
     Alcotest.test_case "smm locked by nk" `Quick test_smm_locked;
     Alcotest.test_case "smm without handler" `Quick test_smm_no_handler;
-    Alcotest.test_case "clock counters" `Quick test_clock_counters;
+    Alcotest.test_case "measurement window" `Quick test_window;
     Alcotest.test_case "cost-model calibration" `Quick test_costs_calibration;
   ]

@@ -53,15 +53,14 @@ let test_work_stealing () =
   let a = fork1 k and b = fork1 k in
   Sched.add_on s a 0;
   Sched.add_on s b 0;
-  let trace = k.Kernel.machine.Nkhw.Machine.trace in
-  let steals () = Nktrace.counter_value trace Nktrace.Sched_steal in
-  let s0 = steals () in
+  let w = Nkhw.Window.start k.Kernel.machine in
   (* cpu1's queue is empty: yielding there must steal from cpu0 —
      skipping pid 1, which is cpu0's running process. *)
   (match Sched.yield_on s 1 with
   | Ok pid -> Alcotest.(check int) "stole the first non-running pid" a pid
   | Error e -> Alcotest.failf "yield_on: %s" (Ktypes.errno_to_string e));
-  Alcotest.(check int) "steal counted" (s0 + 1) (steals ());
+  Alcotest.(check int) "steal counted" 1
+    (Nkhw.Window.count w Nktrace.Sched_steal);
   Alcotest.(check (list int)) "victim keeps its running process" [ 1; b ]
     (Sched.queue_of s 0);
   Alcotest.(check bool) "thief's running slot updated" true
@@ -71,27 +70,23 @@ let test_ctx_switch_charged_once () =
   let k = boot ~cpus:1 () in
   let s = Sched.create k in
   let m = k.Kernel.machine in
-  let switches () =
-    Nktrace.counter_value m.Nkhw.Machine.trace Nktrace.Context_switch
+  let yield_once what =
+    let w = Nkhw.Window.start m in
+    Helpers.check_ok_errno what (Sched.yield s);
+    (Nkhw.Window.count w Nktrace.Context_switch, Nkhw.Window.cycles w)
   in
   (* Only init queued: a yield is a self-switch and must cost nothing. *)
-  let c0 = switches () in
-  let snap = Nkhw.Clock.snapshot m.Nkhw.Machine.clock in
-  Helpers.check_ok_errno "self yield" (Sched.yield s);
-  Alcotest.(check int) "self-switch not counted" c0 (switches ());
-  Alcotest.(check int) "self-switch charges zero cycles" 0
-    (Nkhw.Clock.cycles_since m.Nkhw.Machine.clock snap);
+  let switches, cycles = yield_once "self yield" in
+  Alcotest.(check int) "self-switch not counted" 0 switches;
+  Alcotest.(check int) "self-switch charges zero cycles" 0 cycles;
   (* Two processes ping-pong: exactly one switch per yield, each
      charging at least the calibrated ctx_switch cost. *)
   Sched.add s (fork1 k);
   for _ = 1 to 4 do
-    let c = switches () in
-    let snap = Nkhw.Clock.snapshot m.Nkhw.Machine.clock in
-    Helpers.check_ok_errno "ping-pong yield" (Sched.yield s);
-    Alcotest.(check int) "one switch per yield" (c + 1) (switches ());
+    let switches, cycles = yield_once "ping-pong yield" in
+    Alcotest.(check int) "one switch per yield" 1 switches;
     Alcotest.(check bool) "calibrated cost charged" true
-      (Nkhw.Clock.cycles_since m.Nkhw.Machine.clock snap
-      >= m.Nkhw.Machine.costs.Nkhw.Costs.ctx_switch)
+      (cycles >= m.Nkhw.Machine.costs.Nkhw.Costs.ctx_switch)
   done
 
 let churn k p tick cpu_hop =
@@ -138,8 +133,7 @@ let test_shootdowns_drain_before_dispatch () =
   let pid = fork1 k in
   Sched.add s pid;
   let p = Option.get (Kernel.proc k pid) in
-  let trace = k.Kernel.machine.Nkhw.Machine.trace in
-  let ipi0 = Nktrace.counter_value trace Nktrace.Ipi_shootdown in
+  let w = Nkhw.Window.start k.Kernel.machine in
   ignore
     (Sched.run_smp s
        ~policy:(Nkhw.Smp.Executor.Seeded Helpers.sched_seed)
@@ -155,7 +149,7 @@ let test_shootdowns_drain_before_dispatch () =
                ignore (Sched.migrate s pid ~to_cpu:(1 - cpu)));
          true));
   Alcotest.(check bool) "shootdown IPIs were actually posted" true
-    (Nktrace.counter_value trace Nktrace.Ipi_shootdown > ipi0)
+    (Nkhw.Window.count w Nktrace.Ipi_shootdown > 0)
 
 let trace_json seed =
   let k = Os.boot ~frames:4096 ~trace:true ~cpus:4 Config.Perspicuos in

@@ -9,9 +9,6 @@ let page = Addr.page_size
 let boot ?(cpus = 1) ?coherence () =
   Os.boot ~frames:4096 ?coherence ~cpus Config.Perspicuos
 
-let counter k ev =
-  Nktrace.counter_value k.Kernel.machine.Machine.trace ev
-
 let fork1 k =
   match Syscalls.fork k (Kernel.current_proc k) with
   | Ok pid -> pid
@@ -67,10 +64,9 @@ let test_migration_mid_batch () =
            | Error _ -> ());
          true));
   Alcotest.(check bool) "process migrated mid-batch" true (!hops > 0);
-  let nk = Option.get k.Kernel.nk in
-  Nested_kernel.Api.nk_flush_all_deferred nk;
-  Alcotest.(check int) "oracle clean across migrated batched unmaps" 0
-    (List.length (Nested_kernel.Api.Diagnostics.Coherence.snapshot nk))
+  Alcotest.(check (pair int int))
+    "oracle and audit clean across migrated batched unmaps" (0, 0)
+    (Nk_workloads.Harness.settle (Option.get k.Kernel.nk))
 
 (* An ASID-wide shootdown retires the whole residency mask, and the
    next access under the tag re-joins the target set (the memo must
@@ -108,12 +104,12 @@ let test_deferred_reuse_cross_asid () =
   Helpers.check_ok_errno "munmap" (Syscalls.munmap k p va);
   Alcotest.(check bool) "unmap parked on the lazy queue" true
     (Nested_kernel.Api.nk_deferred_live nk > 0);
-  let reuse0 = counter k Nktrace.Flush_on_reuse in
+  let w = Window.start m in
   Helpers.check_ok_errno "switch to child" (Kernel.switch_to k child);
   let cp = Option.get (Kernel.proc k child) in
   ignore (mmap_ok k cp ~pages:8 ~populate:true);
   Alcotest.(check bool) "reuse barrier fired under the child's ASID" true
-    (counter k Nktrace.Flush_on_reuse > reuse0);
+    (Window.count w Nktrace.Flush_on_reuse > 0);
   Helpers.check_ok_errno "switch back" (Kernel.switch_to k p.Proc.pid);
   Helpers.expect_fault "stale translation gone after reuse"
     (Machine.write_u8 m ~ring:Mmu.User va 7);
@@ -135,13 +131,12 @@ let test_parked_peer_occupancy () =
     { Tlb.frame = 42; writable = true; user = true; nx = false; global = false };
   Alcotest.(check int) "no residency for the parked tag" 0
     (Machine.residency m ~asid);
-  let sent0 = counter k Nktrace.Shootdown_sent in
-  let filt0 = counter k Nktrace.Shootdown_filtered in
+  let w = Window.start m in
   Machine.shootdown_page m ~scope:(Machine.Asids [ asid ]) ~vpage;
-  Alcotest.(check int) "occupied parked peer still IPI'd" (sent0 + 1)
-    (counter k Nktrace.Shootdown_sent);
-  Alcotest.(check int) "empty peer filtered" (filt0 + 1)
-    (counter k Nktrace.Shootdown_filtered);
+  Alcotest.(check int) "occupied parked peer still IPI'd" 1
+    (Window.count w Nktrace.Shootdown_sent);
+  Alcotest.(check int) "empty peer filtered" 1
+    (Window.count w Nktrace.Shootdown_filtered);
   Alcotest.(check bool) "parked entry flushed" true
     (Tlb.peek t1 ~asid ~vpage = None)
 
@@ -153,10 +148,10 @@ let test_batch_coalescing () =
   let k = Os.boot ~frames:4096 ~batched:true Config.Perspicuos in
   let p = Kernel.current_proc k in
   ignore (mmap_ok k p ~pages:8 ~populate:true);
-  let coal0 = counter k Nktrace.Shootdown_coalesced in
+  let w = Window.start k.Kernel.machine in
   ignore (fork1 k);
   Alcotest.(check bool) "COW downgrade batch coalesced" true
-    (counter k Nktrace.Shootdown_coalesced > coal0)
+    (Window.count w Nktrace.Shootdown_coalesced > 0)
 
 let suite =
   [

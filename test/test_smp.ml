@@ -103,9 +103,9 @@ let test_shootdown_cost_scales_with_cpus () =
     (Result.get_ok
        (Api.write_pte nk ~ptp:frame ~index:0
           (Pte.make ~frame:(frame + 1) Pte.user_rw_nx)));
-  let snap = Clock.snapshot m.Machine.clock in
+  let w = Window.start m in
   ignore (Result.get_ok (Api.write_pte nk ~ptp:frame ~index:0 Pte.empty));
-  let cost = Clock.cycles_since m.Machine.clock snap in
+  let cost = Window.cycles w in
   Alcotest.(check bool)
     (Printf.sprintf "3 IPIs charged (got %d cycles)" cost)
     true
@@ -151,14 +151,15 @@ let test_ipi_mailbox () =
 let test_borrow_is_not_migration () =
   let m, _, smp = setup () in
   let ap = Smp.add_cpu smp in
-  let mig () = Nktrace.counter_value m.Machine.trace Nktrace.Cpu_migration in
-  let bor () = Nktrace.counter_value m.Machine.trace Nktrace.Cpu_borrow in
-  let m0 = mig () and b0 = bor () in
+  let w = Window.start m in
   Smp.with_cpu smp ap (fun () -> ());
-  Alcotest.(check int) "borrow round trip counts no migration" m0 (mig ());
-  Alcotest.(check int) "borrow counted once" (b0 + 1) (bor ());
+  Alcotest.(check int) "borrow round trip counts no migration" 0
+    (Window.count w Nktrace.Cpu_migration);
+  Alcotest.(check int) "borrow counted once" 1
+    (Window.count w Nktrace.Cpu_borrow);
   Smp.activate smp ap;
-  Alcotest.(check int) "real migration still counted" (m0 + 1) (mig ())
+  Alcotest.(check int) "real migration still counted" 1
+    (Window.count w Nktrace.Cpu_migration)
 
 let exec_sequence policy steps =
   let _, _, smp = setup () in

@@ -159,14 +159,11 @@ let test_batch_one_crossing () =
   let updates =
     List.init 16 (fun i -> (f0, i, Pte.make ~frame:(f0 + 1 + i) Pte.user_rw_nx))
   in
-  let trace = m.Machine.trace in
-  let enters0 = Nktrace.counter_value trace Nktrace.Nk_enter in
-  let writes0 = Nktrace.counter_value trace Nktrace.Pte_write in
+  let w = Window.start m in
   Helpers.check_ok "batch" (Api.write_pte_batch nk updates);
-  Alcotest.(check int) "one gate crossing" 1
-    (Nktrace.counter_value trace Nktrace.Nk_enter - enters0);
+  Alcotest.(check int) "one gate crossing" 1 (Window.count w Nktrace.Nk_enter);
   Alcotest.(check int) "all entries written" 16
-    (Nktrace.counter_value trace Nktrace.Pte_write - writes0);
+    (Window.count w Nktrace.Pte_write);
   Alcotest.(check bool) "audit clean" true (Api.audit_ok nk)
 
 let test_batch_validates_each () =
@@ -239,34 +236,30 @@ let test_load_cr3_pcid () =
     (Api.load_cr3_pcid nk ~pcid:(Cr.max_pcid + 1) f0);
   Helpers.expect_error "undeclared root rejected (I6)"
     (Api.load_cr3_pcid nk ~pcid:3 (f0 + 1));
-  let trace = m.Machine.trace in
-  let asid_flushes () = Nktrace.counter_value trace Nktrace.Tlb_flush_asid in
-  let full_flushes () = Nktrace.counter_value trace Nktrace.Tlb_flush_full in
-  let a0 = asid_flushes () in
-  let full0 = full_flushes () in
+  let w = Window.start m in
+  let asid_flushes () = Window.count w Nktrace.Tlb_flush_asid in
   Helpers.check_ok "first tagged switch" (Api.load_cr3_pcid nk ~pcid:3 f0);
-  Alcotest.(check int) "first use of the pair flushes the ASID" (a0 + 1)
+  Alcotest.(check int) "first use of the pair flushes the ASID" 1
     (asid_flushes ());
   Alcotest.(check int) "CR3 root" f0 (Cr.root_frame m.Machine.cr);
   Alcotest.(check int) "CR3 pcid" 3 (Cr.pcid m.Machine.cr);
   Helpers.check_ok "switch home" (Api.load_cr3_pcid nk ~pcid:0 old_root);
   Helpers.check_ok "clean-pair switch" (Api.load_cr3_pcid nk ~pcid:3 f0);
-  Alcotest.(check int) "clean pairs skip the flush" (a0 + 1) (asid_flushes ());
+  Alcotest.(check int) "clean pairs skip the flush" 1 (asid_flushes ());
   Helpers.check_ok "rebind pcid 3" (Api.load_cr3_pcid nk ~pcid:3 old_root);
-  Alcotest.(check int) "rebinding the pcid flushes it" (a0 + 2)
-    (asid_flushes ());
-  Alcotest.(check int) "tagged switches never flush everything" full0
-    (full_flushes ());
+  Alcotest.(check int) "rebinding the pcid flushes it" 2 (asid_flushes ());
+  Alcotest.(check int) "tagged switches never flush everything" 0
+    (Window.count w Nktrace.Tlb_flush_full);
   (* An untagged switch forgets every binding — and must shoot each
      dropped tag down first (one ASID flush here for pcid 3), or a
      parked peer could keep entries under a tag the clean-pair table
      no longer accounts for.  The old pair then re-flushes on its
      next use, as any first use of a dirty pair does. *)
   Helpers.check_ok "untagged switch" (Api.load_cr3 nk old_root);
-  Alcotest.(check int) "dropped binding shot down at the switch" (a0 + 3)
+  Alcotest.(check int) "dropped binding shot down at the switch" 3
     (asid_flushes ());
   Helpers.check_ok "re-tagged switch" (Api.load_cr3_pcid nk ~pcid:3 f0);
-  Alcotest.(check int) "binding was dropped" (a0 + 4) (asid_flushes ());
+  Alcotest.(check int) "binding was dropped" 4 (asid_flushes ());
   Alcotest.(check bool) "audit clean" true (Api.audit_ok nk)
 
 let test_cross_asid_shootdown () =

@@ -97,6 +97,34 @@ let test_apache_sizes_match_figure () =
   Alcotest.(check int) "figure 6 reaches 1 GB" 1048576
     (List.nth Apache.sizes_kb (List.length Apache.sizes_kb - 1))
 
+(* The close-out runs drain -> sweep -> audit: an unmap parked on the
+   deferred queue is flushed before the oracle's final sweep judges
+   the TLBs, and the window sees every parked flush fire. *)
+let test_closeout_drains_first () =
+  let k = Helpers.kernel Config.Perspicuos in
+  let h = Harness.arm k in
+  let nk = Option.get k.Kernel.nk in
+  let p = Kernel.current_proc k in
+  let w = Nkhw.Window.start k.Kernel.machine in
+  let va =
+    Result.get_ok (Syscalls.mmap k p ~len:4096 ~rw:true ~populate:true ())
+  in
+  Helpers.check_ok_errno "touch" (Kernel.touch_user k p va Nkhw.Fault.Write);
+  Helpers.check_ok_errno "munmap" (Syscalls.munmap k p va);
+  Alcotest.(check bool) "an unmap is parked" true
+    (Nested_kernel.Api.nk_deferred_live nk > 0);
+  Alcotest.(check (pair int int)) "clean close-out" (0, 0) (Harness.close h);
+  Alcotest.(check int) "queue drained" 0
+    (Nested_kernel.Api.nk_deferred_live nk);
+  let count = Nkhw.Window.count w in
+  Alcotest.(check bool) "flushes were deferred" true
+    (count Nktrace.Flush_deferred > 0);
+  Alcotest.(check int) "every deferred flush fired"
+    (count Nktrace.Flush_deferred) (count Nktrace.Flush_on_reuse);
+  let native = Harness.arm (Helpers.kernel Config.Native) in
+  Alcotest.(check (pair int int)) "native close-out" (0, 0)
+    (Harness.close native)
+
 let suite =
   [
     Alcotest.test_case "config names" `Quick test_config_names;
@@ -111,4 +139,6 @@ let suite =
     Alcotest.test_case "lmbench covers figure 4" `Quick test_lmbench_bench_names;
     Alcotest.test_case "sshd covers figure 5" `Quick test_sshd_sizes_match_figure;
     Alcotest.test_case "apache covers figure 6" `Quick test_apache_sizes_match_figure;
+    Alcotest.test_case "close-out drains, sweeps, audits" `Quick
+      test_closeout_drains_first;
   ]
