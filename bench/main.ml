@@ -13,22 +13,24 @@ open Outer_kernel
 
 let section title = Printf.printf "\n#### %s ####\n" title
 
-(* --- machine-readable output (--json) ----------------------------- *)
+let timed f =
+  let t0 = Sys.time () in
+  let r = f () in
+  (r, Sys.time () -. t0)
 
-let json_fields : (string * string) list ref = ref []
+(* --- machine-readable output (--json) and gates (--check) ---------- *)
+
+module Json = Nktrace.Json
+
+let json_fields : (string * Json.t) list ref = ref []
 let json_add key value = json_fields := (key, value) :: !json_fields
 
-let json_obj kvs =
-  "{"
-  ^ String.concat ", "
-      (List.map (fun (k, v) -> Printf.sprintf "%S: %s" k v) kvs)
-  ^ "}"
+(* One message per violated acceptance bound, prefixed with the result
+   it gates; reported (and fatal) only under --check. *)
+let failures : string list ref = ref []
 
-let write_json path =
-  let oc = open_out path in
-  output_string oc (json_obj (List.rev !json_fields));
-  output_char oc '\n';
-  close_out oc
+let gate section msgs =
+  failures := !failures @ List.map (fun m -> section ^ ": " ^ m) msgs
 
 (* --- E1: section 5.1, TCB and porting effort ---------------------- *)
 
@@ -152,11 +154,11 @@ let table_3 () =
   section "Table 3: privilege boundary crossing costs";
   let r = Boundary.run () in
   json_add "table3_us"
-    (json_obj
+    (Obj
        [
-         ("nk_call", Printf.sprintf "%.4f" r.Boundary.nk_call_us);
-         ("syscall", Printf.sprintf "%.4f" r.Boundary.syscall_us);
-         ("vmcall", Printf.sprintf "%.4f" r.Boundary.vmcall_us);
+         ("nk_call", Num (r.Boundary.nk_call_us, 4));
+         ("syscall", Num (r.Boundary.syscall_us, 4));
+         ("vmcall", Num (r.Boundary.vmcall_us, 4));
        ]);
   Stats.print (Boundary.to_table r)
 
@@ -358,18 +360,18 @@ let extra_ctx_switch () =
     | None -> 1.0
   in
   json_add "ctx_switch"
-    (json_obj
+    (Obj
        (List.map
           (fun (name, (us, cyc, full, asid), pcid) ->
             ( name,
-              json_obj
+              Json.Obj
                 [
-                  ("us_per_switch", Printf.sprintf "%.4f" us);
-                  ("cycles_per_switch", string_of_int cyc);
-                  ("tlb_flush_full", string_of_int full);
-                  ("tlb_flush_asid", string_of_int asid);
-                  ("switches", string_of_int n);
-                  ("pcid", string_of_bool pcid);
+                  ("us_per_switch", Num (us, 4));
+                  ("cycles_per_switch", Int cyc);
+                  ("tlb_flush_full", Int full);
+                  ("tlb_flush_asid", Int asid);
+                  ("switches", Int n);
+                  ("pcid", Bool pcid);
                 ] ))
           rows));
   Stats.print
@@ -435,7 +437,9 @@ let extra_smp_shootdown () =
           [ 1; 2; 4; 8 ];
       notes =
         [
-          "each remote CPU adds one IPI; the paper's prototype was            uniprocessor (section 3.10), this extension quantifies the SMP            cost the design implies";
+          "each remote CPU adds one IPI; the paper's prototype was \
+           uniprocessor (section 3.10), this extension quantifies the SMP \
+           cost the design implies";
         ];
     }
 
@@ -445,180 +449,25 @@ let extra_smp_scaling () =
      sweep checked costs nothing in simulated time; host time around
      the sweep gives the wallclock rate (simulated cycles per host
      second) the JSON reports. *)
-  let host0 = Sys.time () in
-  let points = Smp_scale.run ~coherence:true () in
-  let host_secs = Sys.time () -. host0 in
-  let total_cycles =
-    List.fold_left (fun a p -> a + p.Smp_scale.cycles) 0 points
-  in
-  let wallclock =
-    if host_secs > 0. then float_of_int total_cycles /. host_secs else 0.
-  in
-  let json_list items = "[" ^ String.concat ", " items ^ "]" in
-  json_add "smp_scaling"
-    (json_obj
-       [
-         ( "seed",
-           string_of_int
-             (match points with
-             | p :: _ -> p.Smp_scale.seed
-             | [] -> Harness.default_seed) );
-         ("wallclock", Printf.sprintf "%.0f" wallclock);
-         ( "points",
-           json_list
-             (List.map
-                (fun (p : Smp_scale.point) ->
-                  json_obj
-                    [
-                      ("cpus", string_of_int p.Smp_scale.cpus);
-                      ("steps", string_of_int p.Smp_scale.steps);
-                      ("syscalls", string_of_int p.Smp_scale.syscalls);
-                      ("cycles", string_of_int p.Smp_scale.cycles);
-                      ( "syscalls_per_mcycle",
-                        Printf.sprintf "%.1f" p.Smp_scale.throughput );
-                      ( "shootdowns_rx",
-                        json_list
-                          (List.map string_of_int p.Smp_scale.shootdowns) );
-                      ("ipi_shootdowns", string_of_int p.Smp_scale.ipis);
-                      ("shootdown_sent", string_of_int p.Smp_scale.sent);
-                      ( "shootdown_filtered",
-                        string_of_int p.Smp_scale.filtered );
-                      ( "shootdown_coalesced",
-                        string_of_int p.Smp_scale.coalesced );
-                      ("flush_deferred", string_of_int p.Smp_scale.deferred);
-                      ("flush_on_reuse", string_of_int p.Smp_scale.reuse);
-                      ("steals", string_of_int p.Smp_scale.steals);
-                      ("migrations", string_of_int p.Smp_scale.migrations);
-                      ( "oracle_violations",
-                        string_of_int p.Smp_scale.oracle_violations );
-                      ( "audit_failures",
-                        string_of_int p.Smp_scale.audit_failures );
-                    ])
-                points) );
-       ]);
+  let points, host_secs = timed (Smp_scale.run ~coherence:true) in
+  json_add "smp_scaling" (Smp_scale.to_json ~host_secs points);
+  gate "smp_scaling" (Smp_scale.check points);
   Stats.print (Smp_scale.to_table points)
 
 let extra_server_scale () =
   section "Extra: event-driven serving at 1k..100k live connections (E15)";
-  let host0 = Sys.time () in
-  let points = Server_scale.run () in
-  let host_secs = Sys.time () -. host0 in
-  let json_list items = "[" ^ String.concat ", " items ^ "]" in
-  json_add "server_scale"
-    (json_obj
-       [
-         ( "seed",
-           string_of_int
-             (match points with
-             | p :: _ -> p.Server_scale.seed
-             | [] -> Harness.default_seed) );
-         ("cpus", string_of_int Server_scale.cpus);
-         ("host_secs", Printf.sprintf "%.1f" host_secs);
-         ( "points",
-           json_list
-             (List.map
-                (fun (p : Server_scale.point) ->
-                  json_obj
-                    [
-                      ("config", Printf.sprintf "%S" (Config.name p.Server_scale.config));
-                      ("conns", string_of_int p.Server_scale.conns);
-                      ("steps", string_of_int p.Server_scale.steps);
-                      ("live_peak", string_of_int p.Server_scale.live_peak);
-                      ("accepted", string_of_int p.Server_scale.accepted);
-                      ("completed", string_of_int p.Server_scale.completed);
-                      ("gets", string_of_int p.Server_scale.gets);
-                      ("sets", string_of_int p.Server_scale.sets);
-                      ("p50", string_of_int p.Server_scale.p50);
-                      ("p99", string_of_int p.Server_scale.p99);
-                      ("p999", string_of_int p.Server_scale.p999);
-                      ("fd_op_cycles", string_of_int p.Server_scale.fd_op_cycles);
-                      ( "accepts_local",
-                        string_of_int p.Server_scale.accepts_local );
-                      ( "accepts_steal",
-                        string_of_int p.Server_scale.accepts_steal );
-                      ( "backlog_drops",
-                        string_of_int p.Server_scale.backlog_drops );
-                      ( "epoll_wakeups",
-                        string_of_int p.Server_scale.epoll_wakeups );
-                      ("slab_hits", string_of_int p.Server_scale.slab_hits);
-                      ( "slab_refills",
-                        string_of_int p.Server_scale.slab_refills );
-                      ("cycles", string_of_int p.Server_scale.cycles);
-                      ( "wallclock",
-                        Printf.sprintf "%.0f"
-                          (if p.Server_scale.host_secs > 0. then
-                             float_of_int p.Server_scale.cycles
-                             /. p.Server_scale.host_secs
-                           else 0.) );
-                      ( "oracle_violations",
-                        string_of_int p.Server_scale.oracle_violations );
-                      ( "audit_failures",
-                        string_of_int p.Server_scale.audit_failures );
-                    ])
-                points) );
-       ]);
+  let points, host_secs = timed Server_scale.run in
+  json_add "server_scale" (Server_scale.to_json ~host_secs points);
+  gate "server_scale" (Server_scale.check points);
   Stats.print (Server_scale.to_table points)
 
 let extra_multitenant () =
   section
     "Extra: multi-tenant serving — N tenant domains vs native vs \
      simulated hypervisor (E17)";
-  let host0 = Sys.time () in
-  let points = Multitenant.run () in
-  let host_secs = Sys.time () -. host0 in
-  let json_list items = "[" ^ String.concat ", " items ^ "]" in
-  json_add "multitenant"
-    (json_obj
-       [
-         ( "seed",
-           string_of_int
-             (match points with
-             | p :: _ -> p.Multitenant.seed
-             | [] -> Harness.default_seed) );
-         ("cpus", string_of_int Multitenant.cpus);
-         ("scratch_pages", string_of_int Multitenant.scratch_pages);
-         ("scratch_iters", string_of_int Multitenant.scratch_iters);
-         ("host_secs", Printf.sprintf "%.1f" host_secs);
-         ( "points",
-           json_list
-             (List.map
-                (fun (p : Multitenant.point) ->
-                  json_obj
-                    [
-                      ( "config",
-                        Printf.sprintf "%S" (Config.name p.Multitenant.config)
-                      );
-                      ("tenants", string_of_int p.Multitenant.tenants);
-                      ("conns", string_of_int p.Multitenant.conns);
-                      ("steps", string_of_int p.Multitenant.steps);
-                      ("completed", string_of_int p.Multitenant.completed);
-                      ( "throughput",
-                        Printf.sprintf "%.3f" p.Multitenant.throughput );
-                      ("p50", string_of_int p.Multitenant.p50);
-                      ("p99", string_of_int p.Multitenant.p99);
-                      ("p999", string_of_int p.Multitenant.p999);
-                      ( "xdom_denials",
-                        string_of_int p.Multitenant.xdom_denials );
-                      ("vmcalls", string_of_int p.Multitenant.vmcalls);
-                      ( "sched_epochs",
-                        string_of_int p.Multitenant.sched_epochs );
-                      ("pipe_words", string_of_int p.Multitenant.pipe_words);
-                      ( "teardown_leaks",
-                        string_of_int p.Multitenant.teardown_leaks );
-                      ("cycles", string_of_int p.Multitenant.cycles);
-                      ( "per_tenant_completed",
-                        json_list
-                          (List.map
-                             (fun (t : Multitenant.tenant) ->
-                               string_of_int t.Multitenant.t_completed)
-                             p.Multitenant.per_tenant) );
-                      ( "oracle_violations",
-                        string_of_int p.Multitenant.oracle_violations );
-                      ( "audit_failures",
-                        string_of_int p.Multitenant.audit_failures );
-                    ])
-                points) );
-       ]);
+  let points, host_secs = timed Multitenant.run in
+  json_add "multitenant" (Multitenant.to_json ~host_secs points);
+  gate "multitenant" (Multitenant.check points);
   Stats.print (Multitenant.to_table points)
 
 let extra_coherence () =
@@ -655,23 +504,19 @@ let extra_coherence () =
     workload nk f0;
     Nkhw.Clock.cycles m.Nkhw.Machine.clock
   in
-  let timed mode =
-    let t0 = Sys.time () in
-    let cycles = run mode in
-    (cycles, Sys.time () -. t0)
-  in
-  let baseline, base_s = timed `Baseline in
-  let off, off_s = timed `Off in
-  let on, on_s = timed `On in
+  let baseline, base_s = timed (fun () -> run `Baseline) in
+  let off, off_s = timed (fun () -> run `Off) in
+  let on, on_s = timed (fun () -> run `On) in
   json_add "coherence_oracle"
-    (json_obj
+    (Obj
        [
-         ("baseline_cycles", string_of_int baseline);
-         ("oracle_off_cycles", string_of_int off);
-         ("oracle_on_cycles", string_of_int on);
-         ("off_overhead_cycles", string_of_int (off - baseline));
-         ("oracle_on_wallclock_x", Printf.sprintf "%.1f" (on_s /. max 1e-9 off_s));
+         ("baseline_cycles", Int baseline);
+         ("oracle_off_cycles", Int off);
+         ("oracle_on_cycles", Int on);
+         ("off_overhead_cycles", Int (off - baseline));
+         ("oracle_on_wallclock_x", Num (on_s /. max 1e-9 off_s, 1));
        ]);
+  gate "coherence_oracle" (Bench_gates.coherence ~baseline ~off ~on);
   Stats.print
     {
       Stats.title =
@@ -716,32 +561,27 @@ let extra_latency_hist () =
         else None)
       Lmbench.benches
   in
-  let starts_with prefix s =
-    String.length s >= String.length prefix
-    && String.sub s 0 (String.length prefix) = prefix
-  in
   let hists pred (snap : Tr.snapshot) =
     List.filter (fun (name, _) -> pred name) snap.Tr.histograms
   in
+  let summaries hs =
+    Json.Obj (List.map (fun (hname, h) -> (hname, Tr.summary_to_json h)) hs)
+  in
   json_add "latency_hist"
-    (json_obj
+    (Obj
        (List.map
           (fun (bname, snap) ->
-            ( bname,
-              json_obj
-                (List.map
-                   (fun (hname, h) -> (hname, Tr.summary_to_json h))
-                   (hists (starts_with "sys_") snap)) ))
+            (bname, summaries (hists (String.starts_with ~prefix:"sys_") snap)))
           snaps));
   (* Gate-crossing span breakdown from the mmap run: its page-table
      updates all cross the nested kernel's gates. *)
   (match List.assoc_opt "mmap" snaps with
   | Some snap ->
-      json_add "gate_spans"
-        (json_obj
-           (List.map
-              (fun (hname, h) -> (hname, Tr.summary_to_json h))
-              (hists (starts_with "gate") snap)))
+      let spans = hists (String.starts_with ~prefix:"gate") snap in
+      json_add "gate_spans" (summaries spans);
+      gate "gate_spans"
+        (Harness.unmet
+           [ (List.mem_assoc "gate_crossing" spans, "no gate_crossing") ])
   | None -> ());
   Stats.print
     {
@@ -762,7 +602,9 @@ let extra_latency_hist () =
                   string_of_int h.Tr.p99;
                 ])
               (hists
-                 (fun n -> starts_with "sys_" n || starts_with "gate" n)
+                 (fun n ->
+                   String.starts_with ~prefix:"sys_" n
+                   || String.starts_with ~prefix:"gate" n)
                  snap))
           snaps;
       notes =
@@ -775,35 +617,11 @@ let extra_latency_hist () =
 
 let fault_soak () =
   section "Extra: fault-injection soak (graceful degradation)";
-  let host0 = Sys.time () in
-  let r = Fault_soak.run ~seed:7 () in
-  let host_secs = Sys.time () -. host0 in
-  let wallclock =
-    if host_secs > 0. then float_of_int r.Fault_soak.cycles /. host_secs else 0.
-  in
-  json_add "fault_soak"
-    (json_obj
-       [
-         ("seed", string_of_int r.Fault_soak.seed);
-         ("rate", Printf.sprintf "%g" r.Fault_soak.rate);
-         ("ops", string_of_int r.Fault_soak.ops);
-         ("completed", string_of_int r.Fault_soak.completed);
-         ("degraded", string_of_int r.Fault_soak.degraded);
-         ("total_injected", string_of_int r.Fault_soak.total_injected);
-         ( "injected",
-           json_obj
-             (List.map
-                (fun (site, n) -> (site, string_of_int n))
-                r.Fault_soak.injected) );
-         ("escaped_exceptions", string_of_int r.Fault_soak.escaped_exceptions);
-         ( "coherence_violations",
-           string_of_int r.Fault_soak.coherence_violations );
-         ("invariant_failures", string_of_int r.Fault_soak.invariant_failures);
-         ("survived", string_of_bool (Fault_soak.survived r));
-         ("cycles", string_of_int r.Fault_soak.cycles);
-         ("host_secs", Printf.sprintf "%.3f" host_secs);
-         ("wallclock", Printf.sprintf "%.0f" wallclock);
-       ]);
+  let r, host_secs = timed (Fault_soak.run ~seed:7) in
+  json_add "fault_soak" (Fault_soak.to_json ~host_secs r);
+  gate "fault_soak"
+    (Harness.unmet
+       [ (Fault_soak.survived r, "survived = false (see its JSON counts)") ]);
   Stats.print (Fault_soak.to_table r)
 
 (* --- steady-state allocation: the zero-allocation hot-path claim --- *)
@@ -848,12 +666,15 @@ let gc_alloc () =
         ignore (Syscalls.getpid ktr ptr_))
   in
   json_add "gc"
-    (json_obj
+    (Obj
        [
-         ("minor_words_per_syscall", Printf.sprintf "%.2f" null_words);
-         ("minor_words_per_open_close", Printf.sprintf "%.2f" open_close_words);
-         ("minor_words_per_syscall_traced", Printf.sprintf "%.2f" traced_words);
+         ("minor_words_per_syscall", Num (null_words, 2));
+         ("minor_words_per_open_close", Num (open_close_words, 2));
+         ("minor_words_per_syscall_traced", Num (traced_words, 2));
        ]);
+  gate "gc"
+    (Bench_gates.gc ~syscall:null_words ~traced:traced_words
+       ~open_close:open_close_words);
   Stats.print
     {
       Stats.title = "Steady-state allocation (Gc.minor_words per op)";
@@ -953,8 +774,7 @@ let bechamel () =
       (List.sort compare names)
   in
   json_add "bechamel_ns_per_run"
-    (json_obj
-       (List.map (fun (n, est) -> (n, Printf.sprintf "%.0f" est)) estimates));
+    (Obj (List.map (fun (n, est) -> (n, Json.Num (est, 0))) estimates));
   List.iter
     (fun name ->
       match List.assoc_opt name estimates with
@@ -987,10 +807,29 @@ let experiments =
     ("bechamel", bechamel);
   ]
 
+(* The results that carry acceptance gates: --check fails when one is
+   missing because its experiment was not run. *)
+let gated =
+  [
+    "coherence_oracle"; "gate_spans"; "smp_scaling"; "fault_soak";
+    "server_scale"; "gc"; "multitenant";
+  ]
+
+let read_baseline file =
+  match Json.of_string (In_channel.with_open_bin file In_channel.input_all) with
+  | Ok v -> v
+  | Error e | (exception Sys_error e) ->
+      Printf.eprintf "--check %s: %s\n" file e;
+      exit 1
+
 let () =
-  let args =
-    match Array.to_list Sys.argv with _ :: rest -> rest | [] -> []
+  let rec parse check names = function
+    | "--check" :: file :: rest -> parse (Some file) names rest
+    | arg :: rest -> parse check (arg :: names) rest
+    | [] -> (check, List.rev names)
   in
+  let check, args = parse None [] (List.tl (Array.to_list Sys.argv)) in
+  let baseline = Option.map read_baseline check in
   let json = List.mem "--json" args in
   let args = List.filter (fun a -> a <> "--json") args in
   (match args with
@@ -1008,7 +847,28 @@ let () =
               Printf.eprintf "unknown experiment %s (try: list)\n" name;
               exit 1)
         names);
+  let results = Json.Obj (List.rev !json_fields) in
   if json then begin
-    write_json "BENCH_nksim.json";
+    Out_channel.with_open_bin "BENCH_nksim.json" (fun oc ->
+        output_string oc (Json.to_string results);
+        output_char oc '\n');
     print_endline "\nwrote BENCH_nksim.json"
-  end
+  end;
+  Option.iter
+    (fun baseline ->
+      gate "missing"
+        (Harness.unmet
+           (List.map
+              (fun key ->
+                ( List.mem_assoc key !json_fields,
+                  key ^ " (its experiment was not run)" ))
+              gated));
+      gate "wallclock" (Bench_gates.wallclock ~baseline results);
+      match !failures with
+      | [] ->
+          Printf.printf "check: every gate holds against %s\n"
+            (Option.get check)
+      | msgs ->
+          List.iter (Printf.eprintf "check FAILED: %s\n") msgs;
+          exit 1)
+    baseline

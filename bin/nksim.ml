@@ -204,12 +204,10 @@ let smp_run k seed =
    deterministic report (CI diffs reruns byte-for-byte), and these
    numbers legitimately vary with the host. *)
 let host_report ~host_secs ~cycles =
-  let wallclock =
-    if host_secs > 0. then float_of_int cycles /. host_secs else 0.
-  in
   let g = Gc.quick_stat () in
   Printf.eprintf "  host wallclock  : %.0f sim cycles/host sec (%.3fs host)\n"
-    wallclock host_secs;
+    (Nk_workloads.Harness.wallclock cycles host_secs)
+    host_secs;
   Printf.eprintf "  GC              : %.0f minor words, %d minor / %d major \
                   collections\n"
     g.Gc.minor_words g.Gc.minor_collections g.Gc.major_collections

@@ -375,9 +375,6 @@ let vocab_ops cfg u =
       | `Inject, _, false -> None)
     (op_table u)
 
-let op_names cfg =
-  List.map fst (vocab_ops cfg (boot_universe ~domains:(cfg.vocab = Domains) ()))
-
 (* --- state fingerprint -------------------------------------------- *)
 
 (* Two independent FNV-style folds give a 124-bit fingerprint; the

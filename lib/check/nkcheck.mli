@@ -38,9 +38,6 @@ val default : config
 val vocab_name : vocab -> string
 val vocab_of_name : string -> vocab option
 
-val op_names : config -> string list
-(** The vocabulary the config explores, in fixed order. *)
-
 type counterexample = {
   cx_signature : string;  (** failure class used for dedup, e.g. ["oracle"] *)
   cx_ops : string list;  (** shrunk, 1-minimal op sequence *)

@@ -44,4 +44,3 @@ let is_page_aligned va = va land (page_size - 1) = 0
 let align_down va = va land lnot (page_size - 1)
 let align_up va = align_down (va + page_size - 1)
 let pp_va ppf va = Format.fprintf ppf "0x%012x" va
-let pp_frame ppf f = Format.fprintf ppf "#%d" f

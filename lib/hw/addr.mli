@@ -63,4 +63,3 @@ val align_down : va -> va
 val align_up : va -> va
 
 val pp_va : Format.formatter -> va -> unit
-val pp_frame : Format.formatter -> frame -> unit

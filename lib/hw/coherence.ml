@@ -327,4 +327,3 @@ let enable ?root_of_asid ?deferred ?on_violation (m : Machine.t) =
   m.Machine.coherence_hook <- Some hook
 
 let disable (m : Machine.t) = m.Machine.coherence_hook <- None
-let enabled (m : Machine.t) = m.Machine.coherence_hook <> None

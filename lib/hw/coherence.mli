@@ -82,6 +82,5 @@ val enable :
     otherwise raises {!Violation}. *)
 
 val disable : Machine.t -> unit
-val enabled : Machine.t -> bool
 
 val pp_violation : Format.formatter -> violation -> unit

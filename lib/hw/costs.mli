@@ -44,8 +44,5 @@ type t = {
 val default : t
 (** The calibrated model (3.4 GHz reference clock). *)
 
-val ghz : float
-(** Reference clock frequency used to convert cycles to seconds. *)
-
 val cycles_to_us : int -> float
 val cycles_to_s : int -> float

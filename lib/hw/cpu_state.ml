@@ -35,11 +35,3 @@ let copy t =
     ring = t.ring;
     halted = t.halted;
   }
-
-let pp ppf t =
-  Format.fprintf ppf "rip=%a ring=%a zf=%b if=%b" Addr.pp_va t.rip Mmu.pp_ring
-    t.ring t.zf t.intf;
-  List.iter
-    (fun r ->
-      Format.fprintf ppf " %a=%#x" Insn.pp_reg r (get t r))
-    Insn.all_regs

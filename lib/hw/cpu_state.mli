@@ -23,4 +23,3 @@ val flags_word : t -> int
 val set_flags_word : t -> int -> unit
 
 val copy : t -> t
-val pp : Format.formatter -> t -> unit

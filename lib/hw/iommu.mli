@@ -18,5 +18,3 @@ val is_protected : t -> Addr.frame -> bool
 
 val write_allowed : t -> Addr.frame -> bool
 (** False iff the IOMMU is enabled and the frame is protected. *)
-
-val protected_count : t -> int

@@ -170,10 +170,6 @@ let clear_cpu_residency t ~globals_too cpu =
   if globals_too then t.global_residency <- t.global_residency land bit;
   reset_residency_memo t
 
-let clear_asid_residency t ~asid cpu =
-  t.asid_residency.(asid) <- t.asid_residency.(asid) land lnot (1 lsl cpu);
-  reset_residency_memo t
-
 let coherence_check_va t ~op va =
   match t.coherence_hook with None -> () | Some f -> f ~op ~va
 
@@ -193,10 +189,6 @@ let translate_fast t ~ring ~kind va =
     coherence_check_va t ~op:"mmu_access" va
   end;
   r
-
-let translate t ~ring ~kind va =
-  let r = translate_fast t ~ring ~kind va in
-  if r >= 0 then Ok (r lsr 1) else Error !(t.mmu_fault)
 
 let read_u8 t ~ring va =
   let r = translate_fast t ~ring ~kind:Fault.Read va in
@@ -282,13 +274,6 @@ let flush_full t =
   charge t t.costs.Costs.tlb_flush_full;
   count_ev t Nktrace.Tlb_flush_full;
   coherence_check t ~op:"flush_full"
-
-let flush_asid t ~asid =
-  Tlb.flush_asid t.tlb ~asid;
-  clear_asid_residency t ~asid t.cur_cpu;
-  charge t t.costs.Costs.invpcid;
-  count_ev t Nktrace.Tlb_flush_asid;
-  coherence_check t ~op:"flush_asid"
 
 (* Shared peer loop for the shootdown family: flush (and charge the
    IPI for) exactly the peers the scope targets.  Under [Broadcast]
@@ -404,8 +389,3 @@ let read_idt_entry t vector =
   match idt_entry_va t vector with
   | None -> Error (Fault.General_protection "no IDT loaded")
   | Some va -> kread_u64 t va
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>%a@,%a@,cycles=%d tlb(h=%d m=%d)@]" Cr.pp t.cr
-    Cpu_state.pp t.cpu (Clock.cycles t.clock) (Tlb.hits t.tlb)
-    (Tlb.misses t.tlb)

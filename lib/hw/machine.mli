@@ -71,8 +71,7 @@ type t = {
   mutable shoot_ntargets : int;
   mmu_fault : Fault.t ref;
       (** fault cell the packed translation path writes through; holds
-          the cause of the most recent negative {!translate_fast}
-          result *)
+          the cause of the most recent failed packed translation *)
   msrs : (int, int) Hashtbl.t;
   mutable idtr : Addr.va option;  (** base VA of the 256-entry IDT *)
   mutable pending_interrupts : int list;
@@ -116,23 +115,11 @@ val count_ev : t -> Nktrace.counter -> unit
     Counters are always live; the cycle-stamped ring entry is recorded
     only while tracing is enabled.  Never charges simulated cycles. *)
 
-val translate :
-  t -> ring:Mmu.ring -> kind:Fault.access_kind -> Addr.va -> (Addr.pa, Fault.t) result
-(** Permission-checked translation; charges a memory access and any
-    walk cost. *)
-
-val translate_fast :
-  t -> ring:Mmu.ring -> kind:Fault.access_kind -> Addr.va -> int
-(** Allocation-free {!translate}: returns [(pa lsl 1) lor hit], or a
-    negative value with the fault left in [mmu_fault].  Identical
-    charges, event counts and coherence checks. *)
-
 val read_u8 : t -> ring:Mmu.ring -> Addr.va -> (int, Fault.t) result
 val write_u8 : t -> ring:Mmu.ring -> Addr.va -> int -> (unit, Fault.t) result
 val read_u64 : t -> ring:Mmu.ring -> Addr.va -> (int, Fault.t) result
 val write_u64 : t -> ring:Mmu.ring -> Addr.va -> int -> (unit, Fault.t) result
 
-val read_bytes : t -> ring:Mmu.ring -> Addr.va -> int -> (bytes, Fault.t) result
 val write_bytes : t -> ring:Mmu.ring -> Addr.va -> bytes -> (unit, Fault.t) result
 (** Bulk accesses check permissions on every page they touch and charge
     bulk-copy costs. *)
@@ -153,11 +140,6 @@ val flush_full : t -> unit
 (** Local CR3-reload-style flush: non-global entries of every ASID.
     Charges [tlb_flush_full], counts {!Nktrace.Tlb_flush_full} and
     drops the current CPU from every ASID's residency mask. *)
-
-val flush_asid : t -> asid:int -> unit
-(** Local INVPCID single-context flush.  Charges [invpcid], counts
-    {!Nktrace.Tlb_flush_asid} and drops the current CPU from that
-    ASID's residency mask. *)
 
 val shootdown_page : ?scope:shootdown_scope -> t -> vpage:int -> unit
 (** Flush one page from the local TLB and IPI the peer CPUs in [scope]
@@ -202,10 +184,6 @@ val coherence_check : t -> op:string -> unit
     of every cached TLB entry against the live page tables.  [op] tags
     the event for violation reports. *)
 
-val coherence_check_va : t -> op:string -> Addr.va -> unit
-(** Fire the installed coherence hook (if any) for a targeted check of
-    the translation covering one VA on the active CPU. *)
-
 val raise_interrupt : t -> int -> unit
 (** Queue an external interrupt vector. *)
 
@@ -215,5 +193,3 @@ val idt_entry_va : t -> int -> Addr.va option
 val read_idt_entry : t -> int -> (Addr.va, Fault.t) result
 (** Handler address stored in IDT slot [vector]; a supervisor read
     through the MMU, as the hardware performs at delivery. *)
-
-val pp : Format.formatter -> t -> unit

@@ -88,12 +88,3 @@ let set_nx t v = set_bit t bit_nx v
 let set_global t v = set_bit t bit_g v
 let set_accessed t = t lor bit_a
 let set_dirty t = t lor bit_d
-
-let pp ppf t =
-  if not (is_present t) then Format.fprintf ppf "<not-present>"
-  else
-    Format.fprintf ppf "frame=%d %c%c%c%c" (frame t)
-      (if is_writable t then 'W' else 'R')
-      (if is_user t then 'U' else 'S')
-      (if is_nx t then '-' else 'X')
-      (if is_large t then 'L' else '.')

@@ -64,9 +64,6 @@ val is_nx : t -> bool
 val bit_p : int
 val bit_rw : int
 val bit_us : int
-val bit_a : int
-val bit_d : int
-val bit_ps : int
 val bit_g : int
 val bit_nx : int
 val frame_mask : int
@@ -78,5 +75,3 @@ val set_nx : t -> bool -> t
 val set_global : t -> bool -> t
 val set_accessed : t -> t
 val set_dirty : t -> t
-
-val pp : Format.formatter -> t -> unit

@@ -29,7 +29,6 @@ val remove : 'a t -> int -> 'a option
 (** Free the slot and return what it held. *)
 
 val count : 'a t -> int
-val limit : 'a t -> int
 val iter : (int -> 'a -> unit) -> 'a t -> unit
 val clear : 'a t -> unit
 (** Empty the table without touching the payloads. *)

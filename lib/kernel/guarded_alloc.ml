@@ -49,9 +49,6 @@ let word v =
   Bytes.set_int64_le b 0 (Int64.of_int v);
   b
 
-let guarded t = match t.meta with Guarded _ -> true | Inline _ -> false
-let metadata_in_band t = not (guarded t)
-let chunk_size t = t.chunk_size
 let live t = t.live
 
 (* Guarded free-list stack, entirely in protected memory. *)

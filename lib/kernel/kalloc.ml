@@ -119,8 +119,4 @@ let free t va =
     done
   end
 
-let chunk_size t = t.chunk_size
 let live_chunks t = t.live
-
-let cached_chunks t =
-  Array.fold_left (fun acc c -> acc + c.n) 0 t.caches

@@ -25,9 +25,4 @@ val alloc : t -> Addr.va option
 (** A zeroed chunk, or [None] when the frame pool is exhausted. *)
 
 val free : t -> Addr.va -> unit
-val chunk_size : t -> int
 val live_chunks : t -> int
-
-val cached_chunks : t -> int
-(** Chunks currently parked in per-CPU magazines (free but not on the
-    shared list). *)

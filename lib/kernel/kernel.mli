@@ -112,18 +112,6 @@ val enter_vm_domain : t -> Vmspace.t -> (unit, Ktypes.errno) result
     same-domain dispatch is one integer compare); {!switch_to} calls
     this before every address-space load. *)
 
-val enter_host_domain : t -> unit
-
-val load_vm_root : t -> Vmspace.t -> (unit, Nested_kernel.Nk_error.t) result
-(** Load an address space's root through the backend, tagged with its
-    (revalidated) ASID when PCID is on. *)
-
-val load_kernel_root : t -> (unit, Nested_kernel.Nk_error.t) result
-(** Switch to the kernel's own root (ASID 0 when PCID is on). *)
-
-val cpu_current : t -> Ktypes.pid option
-(** The pid last dispatched on the CPU driving the machine right now. *)
-
 val current_proc_opt : t -> Proc.t option
 (** The process running on the active CPU, or [None] when that CPU is
     idle — an ordinary state under the SMP executor; trap and IPI
@@ -167,9 +155,6 @@ val touch_user :
     (plus the nested-kernel trap-gate overhead when active) and runs
     the VM fault handler, then retries. *)
 
-val user_write_bytes :
-  t -> Proc.t -> Addr.va -> bytes -> (unit, Ktypes.errno) result
-
 val deliver_signal : t -> Proc.t -> int -> (unit, Ktypes.errno) result
 (** Signal delivery to the current process: trap cost, signal-frame
     push onto the user stack, handler execution, sigreturn. *)
@@ -179,7 +164,3 @@ val ps : t -> (Ktypes.pid * int) list
 
 val ps_shadow : t -> Ktypes.pid list option
 (** Shadow-aware ps (Write_log configuration only). *)
-
-val log_sys_event : t -> Proc.t -> int -> [ `Entry | `Exit ] -> unit
-(** Append a record to the protected syscall log (no-op outside the
-    Append_only configuration). *)

@@ -10,8 +10,6 @@ open Nkhw
 
 type t
 
-val node_size : int
-
 val create : Machine.t -> Kalloc.t -> head_va:Addr.va -> t
 (** Initialize an empty list whose head pointer lives at [head_va]. *)
 
@@ -36,4 +34,3 @@ val pids : t -> (Ktypes.pid * int) list
     [Fault.Hardware] only if kernel memory is unreadable. *)
 
 val find : t -> Ktypes.pid -> Addr.va option
-val length : t -> int

@@ -18,9 +18,6 @@ let create nk ~capacity =
   | Error e -> Error e
   | Ok (wd, base) -> Ok { nk; wd; base; capacity; log }
 
-let wd t = t.wd
-let base t = t.base
-let capacity t = t.capacity
 let log t = t.log
 
 let read_word t va =

@@ -25,7 +25,6 @@ let create_protected nk =
           machine = (nk).Nested_kernel.State.machine;
         }
 
-let va t = t.table_va
 let entry_va t sysno = t.table_va + (sysno * 8)
 
 let word v =

@@ -317,8 +317,6 @@ let pipe k p =
      value. *)
   Result.map fd_unpack (Kernel.syscall k p Ktypes.sys_pipe [])
 
-let unlink k p path = Kernel.syscall k p Ktypes.sys_unlink [ Ktypes.Str path ]
-
 let listen k p ~backlog =
   Kernel.syscall k p Ktypes.sys_listen [ Ktypes.Int backlog ]
 

@@ -38,7 +38,6 @@ type t = {
 }
 
 val user_text_base : Addr.va
-val user_mmap_base : Addr.va
 val user_stack_top : Addr.va
 
 val create :

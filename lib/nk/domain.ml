@@ -18,8 +18,6 @@ let denials (st : State.t) domain =
   | Some d -> d.State.dom_denials
   | None -> 0
 
-let live (st : State.t) domain = State.domain_live st domain
-
 let create (st : State.t) =
   State.with_gate st (fun () ->
       if st.State.cur_domain <> 0 then
@@ -34,23 +32,10 @@ let create (st : State.t) =
             dom_token = token;
             dom_live = true;
             dom_denials = 0;
-            dom_policies = None;
           };
         Machine.count_ev st.State.machine Nktrace.Domain_create;
         Ok (id, token)
       end)
-
-let set_policies (st : State.t) ~domain names =
-  State.with_gate st (fun () ->
-      if st.State.cur_domain <> 0 then
-        bad st.State.cur_domain "only the host may set domain policies"
-      else
-        match State.find_domain st domain with
-        | Some d when d.State.dom_live ->
-            d.State.dom_policies <- names;
-            Ok ()
-        | Some _ -> bad domain "domain is dead"
-        | None -> bad domain "unknown domain")
 
 (* Switch the domain mediated operations run on behalf of.  Entering
    the host needs no token (the host never handed one out); entering a

@@ -12,18 +12,12 @@ open Nkhw
 val current : State.t -> int
 (** Domain mediated operations currently run on behalf of. *)
 
-val live : State.t -> int -> bool
 val denials : State.t -> int -> int
 (** Cross-domain rejections attributed to a domain so far. *)
 
 val create : State.t -> (int * int, Nk_error.t) result
 (** Host-only: register a new tenant domain.  Returns [(id, token)];
     the token is the entry capability and is handed out exactly once. *)
-
-val set_policies :
-  State.t -> domain:int -> string list option -> (unit, Nk_error.t) result
-(** Host-only: restrict the write-protection policies a tenant may
-    declare ([None] = any, the default). *)
 
 val enter : State.t -> domain:int -> token:int -> (unit, Nk_error.t) result
 (** Switch the current domain.  Entering domain 0 needs no token;
@@ -43,8 +37,6 @@ val destroy : State.t -> domain:int -> (int, Nk_error.t) result
     marks, and kills its token.  Returns the number of frames that
     still carried the owner mark — nonzero means the outer kernel
     leaked frames. *)
-
-val default_pipe_cap : int
 
 val pipe_open :
   State.t -> ?cap:int -> src:int -> dst:int -> unit ->

@@ -48,14 +48,12 @@ type t = {
           refuses the crossing before touching any state *)
 }
 
-val callout_entry_done : int
 val callout_exit_done : int
 val callout_trap : int
 (** [Callout] codes marking the end of each gate routine. *)
 
 val entry_gate_code : secure_stack_top:Addr.va -> Insn.asm_item list
 val exit_gate_code : unit -> Insn.asm_item list
-val trap_gate_code : unit -> Insn.asm_item list
 (** The instruction sequences, for inspection and tests. *)
 
 val install :

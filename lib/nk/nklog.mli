@@ -29,5 +29,3 @@ val replay : t -> initial:bytes -> upto:int -> bytes
 
 val writes_touching : t -> offset:int -> len:int -> record list
 (** Records overlapping the byte range [offset, offset+len). *)
-
-val pp_record : Format.formatter -> record -> unit

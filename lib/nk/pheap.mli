@@ -28,6 +28,4 @@ val block_size : t -> Addr.va -> int option
 
 val allocated_bytes : t -> int
 val free_bytes : t -> int
-val base : t -> Addr.va
-val size : t -> int
 val contains : t -> Addr.va -> bool

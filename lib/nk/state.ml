@@ -33,8 +33,6 @@ type domain = {
   dom_token : int;
   mutable dom_live : bool;
   mutable dom_denials : int;  (* cross-domain rejections attributed to it *)
-  mutable dom_policies : string list option;
-      (* write-protection policies the domain may declare; None = any *)
 }
 
 (* A gate-mediated cross-domain pipe: the only inter-tenant channel.
@@ -159,7 +157,6 @@ let is_deferred t ~vpage (e : Tlb.entry) =
 let deferred_live t = t.deferred_count
 
 let register_wd t wd = Hashtbl.replace t.write_descriptors wd.wd_id wd
-let find_wd t id = Hashtbl.find_opt t.write_descriptors id
 
 let entry_va_of_pte ~ptp ~index =
   Addr.kva_of_pa (Page_table.entry_pa ~ptp ~index)

@@ -38,8 +38,6 @@ type domain = {
   mutable dom_live : bool;
   mutable dom_denials : int;
       (** cross-domain rejections attributed to this domain *)
-  mutable dom_policies : string list option;
-      (** write-protection policies it may declare; [None] = any *)
 }
 (** A tenant domain above the one nested kernel; domain 0 is the host
     and is never registered. *)
@@ -124,7 +122,6 @@ val deferred_live : t -> int
 (** Number of pending lazy-invalidation records. *)
 
 val register_wd : t -> wd -> unit
-val find_wd : t -> int -> wd option
 
 val entry_va_of_pte : ptp:Addr.frame -> index:int -> Addr.va
 (** Kernel direct-map virtual address of a page-table entry; nested

@@ -2,24 +2,6 @@ open Nkhw
 
 let ( let* ) = Result.bind
 
-(* Per-domain policy set: the host may restrict which write-protection
-   policies a tenant can declare; unrestricted (and host) callers pass
-   for free. *)
-let policy_permitted (st : State.t) (policy : Policy.t) =
-  match State.find_domain st st.State.cur_domain with
-  | Some { State.dom_policies = Some allowed; _ }
-    when not (List.mem policy.Policy.name allowed) ->
-      State.count_denial st;
-      Error
-        (Nk_error.Policy_violation
-           {
-             policy = policy.Policy.name;
-             reason =
-               Printf.sprintf "policy not permitted for domain %d"
-                 st.State.cur_domain;
-           })
-  | _ -> Ok ()
-
 let fresh_wd (st : State.t) ~base ~size ~policy ~from_heap =
   let wd =
     {
@@ -66,7 +48,6 @@ let protect_frame (st : State.t) frame =
 
 let declare st ~base ~size policy =
   State.with_gate st (fun () ->
-      let* () = policy_permitted st policy in
       if not (Addr.is_kernel_va base) || size <= 0 then
         Error (Nk_error.Bad_bounds { dest = base; size })
       else
@@ -90,7 +71,6 @@ let declare st ~base ~size policy =
 
 let alloc st ~size policy =
   State.with_gate st (fun () ->
-      let* () = policy_permitted st policy in
       match Pheap.alloc st.heap size with
       | None -> Error Nk_error.Out_of_protected_memory
       | Some va ->

@@ -646,62 +646,48 @@ let snapshot t =
     histograms = sorted_bindings t.hists summarize;
   }
 
-(* ---- JSON rendering (dependency-free) ---- *)
+(* ---- JSON rendering ---- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+module Json = Json
 
 let summary_to_json s =
-  Printf.sprintf
-    "{\"count\":%d,\"min\":%d,\"max\":%d,\"mean\":%.2f,\"p50\":%d,\"p95\":%d,\"p99\":%d,\"p999\":%d}"
-    s.h_count s.h_min s.h_max s.h_mean s.p50 s.p95 s.p99 s.p999
+  Json.Obj
+    [
+      ("count", Int s.h_count);
+      ("min", Int s.h_min);
+      ("max", Int s.h_max);
+      ("mean", Num (s.h_mean, 2));
+      ("p50", Int s.p50);
+      ("p95", Int s.p95);
+      ("p99", Int s.p99);
+      ("p999", Int s.p999);
+    ]
 
-let event_to_json = function
-  | Count c -> Printf.sprintf "{\"count\":\"%s\"}" (json_escape (counter_name c))
-  | Span_begin sp ->
-      Printf.sprintf "{\"begin\":\"%s\"}" (json_escape (span_name sp))
-  | Span_end (sp, d) ->
-      Printf.sprintf "{\"end\":\"%s\",\"cycles\":%d}" (json_escape (span_name sp)) d
-  | Mark m -> Printf.sprintf "{\"mark\":\"%s\"}" (json_escape m)
+let event_to_json : event -> Json.t = function
+  | Count c -> Obj [ ("count", Str (counter_name c)) ]
+  | Span_begin sp -> Obj [ ("begin", Str (span_name sp)) ]
+  | Span_end (sp, d) -> Obj [ ("end", Str (span_name sp)); ("cycles", Int d) ]
+  | Mark m -> Obj [ ("mark", Str m) ]
 
 let record_to_json (r : record) =
-  Printf.sprintf "{\"seq\":%d,\"cycles\":%d,\"cpu\":%d,\"event\":%s}" r.seq
-    r.cycles r.cpu (event_to_json r.event)
+  Json.Obj
+    [
+      ("seq", Int r.seq);
+      ("cycles", Int r.cycles);
+      ("cpu", Int r.cpu);
+      ("event", event_to_json r.event);
+    ]
 
 let to_json (snap : snapshot) =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\"dropped\":";
-  Buffer.add_string b (string_of_int snap.dropped);
-  Buffer.add_string b ",\"counters\":{";
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "\"%s\":%d" (json_escape k) v))
-    snap.counters;
-  Buffer.add_string b "},\"histograms\":{";
-  List.iteri
-    (fun i (k, s) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf "\"%s\":%s" (json_escape k) (summary_to_json s)))
-    snap.histograms;
-  Buffer.add_string b "},\"events\":[";
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (record_to_json r))
-    snap.events;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  Json.to_string
+    (Obj
+       [
+         ("dropped", Int snap.dropped);
+         ( "counters",
+           Obj (List.map (fun (k, v) -> (k, Json.Int v)) snap.counters) );
+         ( "histograms",
+           Obj
+             (List.map (fun (k, s) -> (k, summary_to_json s)) snap.histograms)
+         );
+         ("events", List (List.map record_to_json snap.events));
+       ])

@@ -228,8 +228,11 @@ val mark : t -> string -> unit
 val histogram : t -> string -> hist_summary option
 val snapshot : t -> snapshot
 
+module Json = Json
+
 val to_json : snapshot -> string
-(** Stable, dependency-free JSON rendering of a snapshot:
+(** Stable JSON rendering of a snapshot, printed compactly through
+    {!Json}:
     [{"dropped":..,"counters":{..},"histograms":{..},"events":[..]}]. *)
 
-val summary_to_json : hist_summary -> string
+val summary_to_json : hist_summary -> Json.t

@@ -82,12 +82,7 @@ let create ?lfd ?(et = false) ?(backlog = 128) ?(tx_block = 16 * 1024)
   }
 
 let listener t = t.lst
-let epfd t = t.epfd
-let lfd t = t.lfd
 let accepted t = t.accepted
-let requests t = t.requests
-let closed t = t.closed
-let live t = Hashtbl.length t.conns
 
 let conn_of t fd =
   match Proc.fd_handle t.p fd with

@@ -194,3 +194,28 @@ let to_table r =
           r.rate (survived r);
       ];
   }
+
+let to_json ~host_secs r : Nktrace.Json.t =
+  Obj
+    [
+      ("seed", Int r.seed);
+      ("rate", Num (r.rate, 4));
+      ("ops", Int r.ops);
+      ("completed", Int r.completed);
+      ("degraded", Int r.degraded);
+      ("total_injected", Int r.total_injected);
+      ( "injected",
+        Obj
+          (List.map (fun (site, n) -> (site, Nktrace.Json.Int n)) r.injected)
+      );
+      ("escaped_exceptions", Int r.escaped_exceptions);
+      ("coherence_violations", Int r.coherence_violations);
+      ("invariant_failures", Int r.invariant_failures);
+      ("flush_deferred", Int r.flush_deferred);
+      ("flush_drained", Int r.flush_drained);
+      ("deferred_live", Int r.deferred_live);
+      ("survived", Bool (survived r));
+      ("cycles", Int r.cycles);
+      ("host_secs", Num (host_secs, 3));
+      ("wallclock", Num (Harness.wallclock r.cycles host_secs, 0));
+    ]

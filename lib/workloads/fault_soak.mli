@@ -42,3 +42,6 @@ val survived : result -> bool
     left queued. *)
 
 val to_table : result -> Stats.table
+
+val to_json : host_secs:float -> result -> Nktrace.Json.t
+(** The bench section, with every count {!survived} reads. *)

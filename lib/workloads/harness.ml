@@ -41,3 +41,20 @@ let close t =
       (t.violations, failures)
 
 let violations t = t.violations
+
+let wallclock cycles host_secs =
+  if host_secs > 0. then float_of_int cycles /. host_secs else 0.
+
+let unmet bounds =
+  List.filter_map (fun (ok, msg) -> if ok then None else Some msg) bounds
+
+let zeros at counts =
+  List.map
+    (fun (name, n) -> (n = 0, at (Printf.sprintf "%s = %d" name n)))
+    counts
+
+let bound name value ok expected =
+  ( Option.fold ~none:false ~some:ok value,
+    Printf.sprintf "%s is %s, expected %s" name
+      (Option.fold ~none:"missing" ~some:string_of_int value)
+      expected )

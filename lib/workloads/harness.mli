@@ -1,6 +1,8 @@
 (** What every workload shares around its measured run: the scheduler
-    seed, the coherence oracle armed after boot, and one checked
-    close-out.  Measurement itself goes through {!Nkhw.Window}. *)
+    seed, the coherence oracle armed after boot, one checked close-out,
+    the host wallclock rate, and the bound helpers each acceptance
+    [check] is written with.  Measurement itself goes through
+    {!Nkhw.Window}. *)
 
 open Outer_kernel
 
@@ -32,3 +34,18 @@ val close : t -> int * int
 val violations : t -> int
 (** Oracle violations so far, sweep included — for a workload that
     keeps running checked code after {!close}. *)
+
+val wallclock : int -> float -> float
+(** The host-dependent wallclock rate: simulated cycles per host second
+    (0 when no host time elapsed). *)
+
+val unmet : (bool * string) list -> string list
+(** The messages of the (holds, message) bounds that do not hold: what a
+    workload's [check] returns. *)
+
+val zeros : (string -> string) -> (string * int) list -> (bool * string) list
+(** Each named count is 0, else [at "name = n"]. *)
+
+val bound : string -> int option -> (int -> bool) -> string -> bool * string
+(** [bound name v ok expected]: [v] is present and [ok], else
+    ["name is v, expected ..."] with v "missing" when absent. *)

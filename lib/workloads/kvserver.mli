@@ -7,10 +7,6 @@ open Outer_kernel
     request payload, which the model never materializes). *)
 
 val req_bytes : int
-val value_bytes : int
-val stored_bytes : int
-val cookie_get : int
-val cookie_set : int
 
 val gen : (int -> int) -> int * int * int
 (** Request generator for {!Loadgen.config.gen}: 90% GET / 10% SET. *)

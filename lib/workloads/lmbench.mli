@@ -44,8 +44,4 @@ type figure4_row = {
 
 val figure4 : ?batched:bool -> unit -> figure4_row list
 
-val paper_figure4 : (string * float) list
-(** Approximate relative slowdowns read off the paper's Figure 4 for
-    the base PerspicuOS bars (used for shape comparison). *)
-
 val to_table : figure4_row list -> Stats.table

@@ -307,3 +307,71 @@ let to_table points =
          any nonzero leak/oracle/audit cell is a bug";
       ];
   }
+
+let point_json p : Nktrace.Json.t =
+  Obj
+    [
+      ("config", Str (Config.name p.config));
+      ("tenants", Int p.tenants);
+      ("conns", Int p.conns);
+      ("steps", Int p.steps);
+      ("completed", Int p.completed);
+      ("throughput", Num (p.throughput, 3));
+      ("p50", Int p.p50);
+      ("p99", Int p.p99);
+      ("p999", Int p.p999);
+      ("xdom_denials", Int p.xdom_denials);
+      ("vmcalls", Int p.vmcalls);
+      ("sched_epochs", Int p.sched_epochs);
+      ("pipe_words", Int p.pipe_words);
+      ("teardown_leaks", Int p.teardown_leaks);
+      ("cycles", Int p.cycles);
+      ( "per_tenant_completed",
+        List (List.map (fun t -> Nktrace.Json.Int t.t_completed) p.per_tenant)
+      );
+      ("oracle_violations", Int p.oracle_violations);
+      ("audit_failures", Int p.audit_failures);
+    ]
+
+let to_json ~host_secs points : Nktrace.Json.t =
+  Obj
+    [
+      ( "seed",
+        Int (match points with p :: _ -> p.seed | [] -> Harness.default_seed) );
+      ("cpus", Int cpus);
+      ("scratch_pages", Int scratch_pages);
+      ("scratch_iters", Int scratch_iters);
+      ("host_secs", Num (host_secs, 1));
+      ("points", List (List.map point_json points));
+    ]
+
+let check points =
+  let at8 config =
+    List.find_map
+      (fun p ->
+        if p.config = config && p.tenants = 8 then Some p.throughput else None)
+      points
+  in
+  let nk_at_least k base =
+    ( (match (at8 Config.Perspicuos, at8 base) with
+      | Some nk, Some b -> nk >= k *. b
+      | _ -> false),
+      Printf.sprintf "perspicuos throughput at 8 tenants is below %gx %s's" k
+        (Config.name base) )
+  in
+  Harness.unmet
+    (( List.length points >= 9,
+       Printf.sprintf "swept only %d points, expected 9" (List.length points) )
+    :: nk_at_least 2.0 Config.Hyper
+    :: nk_at_least 0.85 Config.Native
+    :: List.concat_map
+         (fun p ->
+           Harness.zeros
+             (Printf.sprintf "%s/%d: %s" (Config.name p.config) p.tenants)
+             [
+               ("oracle_violations", p.oracle_violations);
+               ("audit_failures", p.audit_failures);
+               ("xdom_denials", p.xdom_denials);
+               ("teardown_leaks", p.teardown_leaks);
+             ])
+         points)

@@ -40,16 +40,18 @@ type point = {
 }
 
 val cpus : int
-val tenant_counts : int list
-val configs : Config.t list
 val default_conns : int
-val scratch_pages : int
-val scratch_iters : int
 
 val run_one :
   ?seed:int -> ?tenants:int -> ?conns:int -> config:Config.t -> unit -> point
 
 val run :
   ?seed:int -> ?tenant_counts:int list -> ?conns:int -> unit -> point list
+(** [tenant_counts] defaults to 4, 8 and 16. *)
 
 val to_table : point list -> Stats.table
+val to_json : host_secs:float -> point list -> Nktrace.Json.t
+
+val check : point list -> string list
+(** One message per violated acceptance bound ([[]] when all hold);
+    DESIGN section 14 lists the bounds. *)

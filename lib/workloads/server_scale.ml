@@ -225,3 +225,82 @@ let to_table points =
          readiness-loop cost, not population size";
       ];
   }
+
+let point_json p : Nktrace.Json.t =
+  Obj
+    [
+      ("config", Str (Config.name p.config));
+      ("conns", Int p.conns);
+      ("steps", Int p.steps);
+      ("live_peak", Int p.live_peak);
+      ("accepted", Int p.accepted);
+      ("completed", Int p.completed);
+      ("gets", Int p.gets);
+      ("sets", Int p.sets);
+      ("p50", Int p.p50);
+      ("p99", Int p.p99);
+      ("p999", Int p.p999);
+      ("fd_op_cycles", Int p.fd_op_cycles);
+      ("accepts_local", Int p.accepts_local);
+      ("accepts_steal", Int p.accepts_steal);
+      ("backlog_drops", Int p.backlog_drops);
+      ("epoll_wakeups", Int p.epoll_wakeups);
+      ("slab_hits", Int p.slab_hits);
+      ("slab_refills", Int p.slab_refills);
+      ("cycles", Int p.cycles);
+      ("wallclock", Num (Harness.wallclock p.cycles p.host_secs, 0));
+      ("oracle_violations", Int p.oracle_violations);
+      ("audit_failures", Int p.audit_failures);
+    ]
+
+let to_json ~host_secs points : Nktrace.Json.t =
+  Obj
+    [
+      ( "seed",
+        Int (match points with p :: _ -> p.seed | [] -> Harness.default_seed) );
+      ("cpus", Int cpus);
+      ("host_secs", Num (host_secs, 1));
+      ("points", List (List.map point_json points));
+    ]
+
+let check points =
+  let configs = List.sort_uniq compare (List.map (fun p -> p.config) points) in
+  Harness.unmet
+    (( List.length points >= 10,
+       Printf.sprintf "swept only %d points, expected 10" (List.length points) )
+    :: List.concat_map
+         (fun p ->
+           Harness.zeros
+             (Printf.sprintf "%s/%d: %s" (Config.name p.config) p.conns)
+             [
+               ("oracle_violations", p.oracle_violations);
+               ("audit_failures", p.audit_failures);
+               ("backlog_drops", p.backlog_drops);
+               ( "accepted - accepts_local - accepts_steal",
+                 p.accepted - p.accepts_local - p.accepts_steal );
+             ])
+         points
+    @ List.concat_map
+        (fun config ->
+          let mine = List.filter (fun p -> p.config = config) points in
+          let at n f =
+            List.find_map
+              (fun p -> if p.conns = n then Some (f p) else None)
+              mine
+          in
+          let ops =
+            List.sort_uniq compare (List.map (fun p -> p.fd_op_cycles) mine)
+          in
+          let name = Config.name config in
+          [
+            (List.length ops = 1, name ^ ": fd_op_cycles is not flat 1k->100k");
+            Harness.bound (name ^ ": live_peak at 100k")
+              (at 100_000 (fun p -> p.live_peak))
+              (fun n -> n >= 50_000)
+              ">= 50000";
+            Harness.bound (name ^ ": p99 at 10k")
+              (at 10_000 (fun p -> p.p99))
+              (fun n -> n <= 5_000_000)
+              "<= 5000000 cycles";
+          ])
+        configs)

@@ -41,9 +41,6 @@ type point = {
   audit_failures : int;
 }
 
-val conn_counts : int list
-(** 1k, 5k, 10k, 50k, 100k. *)
-
 val configs : Config.t list
 (** Native and base PerspicuOS. *)
 
@@ -54,4 +51,13 @@ val run_one : ?seed:int -> ?et:bool -> config:Config.t -> int -> point
     connections edge-triggered. *)
 
 val run : ?seed:int -> ?et:bool -> ?conn_counts:int list -> unit -> point list
+(** [conn_counts] defaults to 1k, 5k, 10k, 50k and 100k. *)
+
 val to_table : point list -> Stats.table
+
+val to_json : host_secs:float -> point list -> Nktrace.Json.t
+(** The bench section; each point carries its [wallclock] rate. *)
+
+val check : point list -> string list
+(** One message per violated acceptance bound ([[]] when all hold);
+    DESIGN section 14 lists the bounds. *)

@@ -159,3 +159,68 @@ let to_table points =
          what each mechanism did (section 3.10 extension)";
       ];
   }
+
+let point_json p : Nktrace.Json.t =
+  Obj
+    [
+      ("cpus", Int p.cpus);
+      ("steps", Int p.steps);
+      ("syscalls", Int p.syscalls);
+      ("cycles", Int p.cycles);
+      ("syscalls_per_mcycle", Num (p.throughput, 1));
+      ( "shootdowns_rx",
+        List (List.map (fun n -> Nktrace.Json.Int n) p.shootdowns) );
+      ("ipi_shootdowns", Int p.ipis);
+      ("shootdown_sent", Int p.sent);
+      ("shootdown_filtered", Int p.filtered);
+      ("shootdown_coalesced", Int p.coalesced);
+      ("flush_deferred", Int p.deferred);
+      ("flush_on_reuse", Int p.reuse);
+      ("steals", Int p.steals);
+      ("migrations", Int p.migrations);
+      ("oracle_violations", Int p.oracle_violations);
+      ("audit_failures", Int p.audit_failures);
+    ]
+
+let to_json ~host_secs points : Nktrace.Json.t =
+  Obj
+    [
+      ( "seed",
+        Int (match points with p :: _ -> p.seed | [] -> Harness.default_seed) );
+      ( "wallclock",
+        Num
+          ( Harness.wallclock
+              (List.fold_left (fun a p -> a + p.cycles) 0 points)
+              host_secs,
+            0 ) );
+      ("points", List (List.map point_json points));
+    ]
+
+let check points =
+  let thr =
+    List.map
+      (fun p -> p.throughput)
+      (List.sort (fun a b -> compare a.cpus b.cpus) points)
+  in
+  let ipis8 =
+    List.find_map (fun p -> if p.cpus = 8 then Some p.ipis else None) points
+  in
+  Harness.unmet
+    (( List.sort compare thr = thr,
+       Printf.sprintf
+         "syscalls_per_mcycle is not monotone non-decreasing 1->8 vCPUs: [%s]"
+         (String.concat "; " (List.map (Printf.sprintf "%.1f") thr)) )
+    :: Harness.bound "ipi_shootdowns at 8 vCPUs" ipis8
+         (fun n -> n < 7560)
+         "< 7560"
+    :: List.concat_map
+         (fun p ->
+           let at = Printf.sprintf "%d vCPUs: %s" p.cpus in
+           (p.coalesced > 0, at "shootdown_coalesced = 0")
+           :: Harness.zeros at
+                [
+                  ("oracle_violations", p.oracle_violations);
+                  ("audit_failures", p.audit_failures);
+                  ("flush_deferred - flush_on_reuse", p.deferred - p.reuse);
+                ])
+         points)

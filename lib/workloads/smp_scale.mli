@@ -24,9 +24,6 @@ type point = {
   audit_failures : int;  (** nested-kernel invariant violations at the end *)
 }
 
-val cpu_counts : int list
-(** The sweep: [1; 2; 4; 8]. *)
-
 val run_one :
   ?seed:int -> ?procs:int -> ?steps:int -> ?coherence:bool -> int -> point
 (** Boot Perspicuos with that many CPUs, fork [procs] (default 8)
@@ -39,7 +36,14 @@ val run_one :
 val run :
   ?seed:int -> ?procs:int -> ?steps:int -> ?coherence:bool -> unit ->
   point list
-(** {!run_one} across {!cpu_counts}; seed defaults to
+(** {!run_one} across 1, 2, 4 and 8 CPUs; seed defaults to
     {!Harness.env_seed}. *)
 
 val to_table : point list -> Stats.table
+
+val to_json : host_secs:float -> point list -> Nktrace.Json.t
+(** The bench section; [host_secs] gives its [wallclock] rate. *)
+
+val check : point list -> string list
+(** One message per violated acceptance bound ([[]] when all hold);
+    DESIGN section 14 lists the bounds. *)

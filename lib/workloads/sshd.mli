@@ -23,7 +23,4 @@ val run : ?transfers:int -> unit -> point list
 (** [transfers] per size (paper: 20; default 6 — the simulated clock is
     deterministic). *)
 
-val paper_shape : (int * float) list
-(** Relative bandwidth read off Figure 5 for base PerspicuOS. *)
-
 val to_table : point list -> Stats.table

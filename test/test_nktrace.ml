@@ -385,9 +385,94 @@ let test_json_rendering () =
   in
   List.iter
     (fun key ->
-      if not (contains (Nktrace.summary_to_json h) key) then
+      if not (contains (Nktrace.Json.to_string (Nktrace.summary_to_json h)) key) then
         Alcotest.failf "%S missing in summary" key)
     [ "\"count\":1"; "\"min\":7"; "\"max\":7"; "\"mean\":7.00"; "\"p99\":7" ]
+
+(* Json: the one writer every trace and bench result prints through,
+   and the reader a committed baseline comes back in by. *)
+
+module Json = Nktrace.Json
+
+let gen_json =
+  let open QCheck2.Gen in
+  let str =
+    string_size
+      ~gen:(oneof [ char; oneofl [ '"'; '\\'; '\n'; '\t'; '\r'; '\000'; '\031' ] ])
+      (int_range 0 12)
+  in
+  let leaf =
+    oneof
+      [
+        map (fun n -> Json.Int n) int;
+        (* A Num round-trips when its value is what its printed digits
+           read back as. *)
+        map2
+          (fun x d -> Json.Num (float_of_string (Printf.sprintf "%.*f" d x), d))
+          (float_range (-1e6) 1e6) (int_range 1 6);
+        map (fun s -> Json.Str s) str;
+        map (fun b -> Json.Bool b) bool;
+      ]
+  in
+  sized
+  @@ fix (fun self n ->
+         if n <= 1 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               ( 1,
+                 map
+                   (fun vs -> Json.List vs)
+                   (list_size (int_range 0 4) (self (n / 4))) );
+               ( 1,
+                 map
+                   (fun kvs -> Json.Obj kvs)
+                   (list_size (int_range 0 4) (pair str (self (n / 4)))) );
+             ])
+
+let test_json_round_trip =
+  Helpers.qtest ~count:500 "of_string (to_string v) = Ok v" gen_json (fun v ->
+      Json.of_string (Json.to_string v) = Ok v)
+
+let test_json_compact () =
+  let v =
+    Json.Obj
+      [
+        ("a", Int (-1));
+        ("b", List [ Num (0.5, 2); Int 3; Str "q\"\\\n\001"; Bool true ]);
+        ("", Obj []);
+      ]
+  in
+  Alcotest.(check string) "compact bytes"
+    "{\"a\":-1,\"b\":[0.50,3,\"q\\\"\\\\\\n\\u0001\",true],\"\":{}}"
+    (Json.to_string v);
+  (* Zero digits print an integer, which reads back as an Int: the
+     bench's wallclock rates keep the number type they had. *)
+  Alcotest.(check string) "no digits" "118446538"
+    (Json.to_string (Num (118446538.4, 0)));
+  Alcotest.(check bool) "spaced layout reads the same" true
+    (Json.of_string
+       " {\"a\" : -1 ,\n \"b\": [ 0.50, 3, \"q\\\"\\\\\\n\\u0001\", true ], \"\": { } } "
+    = Ok v);
+  Alcotest.(check bool) "key path" true
+    (Json.get [ "a" ] v = Some (Int (-1))
+    && Json.get [ "a"; "x" ] v = None
+    && Json.get [ "zz" ] v = None);
+  Alcotest.(check (option (float 0.))) "to_float" (Some 3.)
+    (Option.bind (Json.get [ "a" ] (Obj [ ("a", Int 3) ])) Json.to_float)
+
+let test_json_malformed () =
+  List.iter
+    (fun text ->
+      match Json.of_string text with
+      | Ok v -> Alcotest.failf "%S parsed as %s" text (Json.to_string v)
+      | Error _ -> ())
+    [
+      ""; "   "; "{"; "[1,]"; "[1 2]"; "{\"a\" 1}"; "{\"a\":1,}"; "{a:1}";
+      "\"open"; "\"bad \\x escape\""; "\"\\u12\""; "\"\\ud800\"";
+      "\"raw\nnewline\""; "tru"; "null"; "1 2"; "[1]]"; "-"; "1e"; "1-2";
+    ]
 
 let test_diagnostics_surface () =
   let _, nk = Helpers.booted_nk () in
@@ -460,6 +545,10 @@ let suite =
     Alcotest.test_case "syscall + gate spans feed histograms" `Quick
       test_syscall_spans_and_gates;
     Alcotest.test_case "JSON rendering" `Quick test_json_rendering;
+    test_json_round_trip;
+    Alcotest.test_case "Json prints compactly, reads any layout" `Quick
+      test_json_compact;
+    Alcotest.test_case "malformed Json is an Error" `Quick test_json_malformed;
     Alcotest.test_case "Api.Diagnostics surface + aliases" `Quick
       test_diagnostics_surface;
     Alcotest.test_case "records carry the observing CPU" `Quick
