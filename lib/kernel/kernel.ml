@@ -134,9 +134,7 @@ let boot ?(frames = 8192) ?(batched = false) ?(pcid = true)
       end;
       let first = Nested_kernel.Api.outer_first_frame nk in
       let falloc = Frame_alloc.create ~first ~count:(frames - first) in
-      let backend =
-        if batched then Mmu_backend.nested_batched nk else Mmu_backend.nested nk
-      in
+      let backend = Mmu_backend.nested ~batched nk in
       (Some nk, falloc, backend, (nk).Nested_kernel.State.root_pml4)
     end
     else begin

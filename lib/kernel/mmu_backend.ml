@@ -14,6 +14,21 @@ type t = {
   batched : bool;
 }
 
+(* [write_pte_batch] for a backend with no batch entry point: one
+   [write_pte] per tuple, in order, stopping at the first rejection
+   with the vMMU's prefix contract — earlier tuples stay applied and
+   [Batch_item] names the tuple that stopped the batch. *)
+let split write_pte updates =
+  let rec go i = function
+    | [] -> Ok ()
+    | (ptp, index, pte) :: rest -> (
+        match write_pte ~ptp ~index pte with
+        | Ok () -> go (i + 1) rest
+        | Error error ->
+            Error (Nested_kernel.Nk_error.Batch_item { index = i; error }))
+  in
+  go 0 updates
+
 let is_downgrade ~old ~fresh =
   Pte.is_present old
   && ((not (Pte.is_present fresh))
@@ -179,13 +194,7 @@ let native (m : Machine.t) =
         Machine.count_ev m Nktrace.Declare_ptp;
         Ok ());
     write_pte;
-    write_pte_batch =
-      (fun updates ->
-        List.iter
-          (fun (ptp, index, pte) ->
-            match write_pte ~ptp ~index pte with Ok () -> () | Error _ -> ())
-          updates;
-        Ok ());
+    write_pte_batch = split write_pte;
     remove_ptp =
       (fun frame ->
         Hashtbl.remove pt_bases frame;
@@ -197,33 +206,21 @@ let native (m : Machine.t) =
     batched = false;
   }
 
-let nested_gen ~batched (st : Nested_kernel.State.t) =
+let nested ~batched (st : Nested_kernel.State.t) =
   let module Api = Nested_kernel.Api in
+  let write_pte ~ptp ~index pte = Api.write_pte st ~ptp ~index pte in
   {
     name = (if batched then "nested-batched" else "nested");
     declare_ptp = (fun ~level frame -> Api.declare_ptp st ~level frame);
-    write_pte = (fun ~ptp ~index pte -> Api.write_pte st ~ptp ~index pte);
+    write_pte;
     write_pte_batch =
-      (fun updates ->
-        if batched then Api.write_pte_batch st updates
-        else
-          let rec go = function
-            | [] -> Ok ()
-            | (ptp, index, pte) :: rest -> (
-                match Api.write_pte st ~ptp ~index pte with
-                | Ok () -> go rest
-                | Error e -> Error e)
-          in
-          go updates);
+      (if batched then Api.write_pte_batch st else split write_pte);
     remove_ptp = (fun frame -> Api.remove_ptp st frame);
     load_cr3 = (fun frame -> Api.load_cr3 st frame);
     load_cr3_pcid = (fun ~pcid frame -> Api.load_cr3_pcid st ~pcid frame);
     root_of_asid = (fun asid -> Api.nk_root_of_asid st asid);
     batched;
   }
-
-let nested st = nested_gen ~batched:false st
-let nested_batched st = nested_gen ~batched:true st
 
 (* Simulated hypervisor mediation (the paper's Table 3 comparison
    point): every MMU update leaves the guest through a VMCALL and
@@ -238,6 +235,10 @@ let hypervisor (m : Machine.t) =
     Machine.charge m m.Machine.costs.Costs.vmcall_roundtrip;
     Machine.count_ev m Nktrace.Vmcall
   in
+  let write_pte ~ptp ~index pte =
+    vmexit ();
+    base.write_pte ~ptp ~index pte
+  in
   {
     base with
     name = "hyper";
@@ -245,21 +246,8 @@ let hypervisor (m : Machine.t) =
       (fun ~level frame ->
         vmexit ();
         base.declare_ptp ~level frame);
-    write_pte =
-      (fun ~ptp ~index pte ->
-        vmexit ();
-        base.write_pte ~ptp ~index pte);
-    write_pte_batch =
-      (fun updates ->
-        let rec go = function
-          | [] -> Ok ()
-          | (ptp, index, pte) :: rest -> (
-              vmexit ();
-              match base.write_pte ~ptp ~index pte with
-              | Ok () -> go rest
-              | Error e -> Error e)
-        in
-        go updates);
+    write_pte;
+    write_pte_batch = split write_pte;
     remove_ptp =
       (fun frame ->
         vmexit ();
@@ -293,3 +281,32 @@ let with_inject inj t =
           Error (Nested_kernel.Nk_error.Injected "write_pte_batch")
         else t.write_pte_batch updates);
   }
+
+type stage = {
+  backend : t;
+  mutable queued : (Addr.frame * int * Pte.t) list;
+      (* newest first; after a failed commit, only what did not land *)
+}
+
+let stage backend = { backend; queued = [] }
+
+let push s ~ptp ~index pte =
+  if s.backend.batched then begin
+    s.queued <- (ptp, index, pte) :: s.queued;
+    Ok ()
+  end
+  else s.backend.write_pte ~ptp ~index pte
+
+let commit s =
+  if not s.backend.batched then Ok ()
+  else
+    let updates = List.rev s.queued in
+    let result = s.backend.write_pte_batch updates in
+    (match result with
+    | Ok () -> s.queued <- []
+    | Error (Nested_kernel.Nk_error.Batch_item { index; _ }) ->
+        s.queued <- List.rev (List.filteri (fun i _ -> i >= index) updates)
+    | Error _ -> ());
+    result
+
+let unwritten s = List.rev s.queued

@@ -8,7 +8,9 @@ open Nkhw
     update through the nested kernel's vMMU — exactly the porting
     surface the paper describes (section 3.10: "we replaced all
     instances of writes to PTPs to use the appropriate nested kernel
-    API function").
+    API function").  Whether one VM operation's PTE updates go one by
+    one or as a single batch is decided here too, by {!stage}, so the
+    caller has one code path for every backend.
 
     All operations report {!Nested_kernel.Nk_error.t}; the native
     backend wraps its few self-generated failures in
@@ -26,6 +28,10 @@ type t = {
           VA of its own PTE writes). *)
   write_pte_batch :
     (Addr.frame * int * Pte.t) list -> (unit, Nested_kernel.Nk_error.t) result;
+      (** Apply the tuples in order.  A rejected tuple stops the batch
+          with [Batch_item { index }], leaving the tuples before it
+          applied — the vMMU's contract, which every backend keeps; any
+          other error means no tuple was applied. *)
   remove_ptp : Addr.frame -> (unit, Nested_kernel.Nk_error.t) result;
   load_cr3 : Addr.frame -> (unit, Nested_kernel.Nk_error.t) result;
   load_cr3_pcid :
@@ -37,7 +43,8 @@ type t = {
       (** the root each ASID was last bound to — the resolver the
           TLB-coherence oracle needs to audit parked-ASID entries *)
   batched : bool;
-      (** whether [write_pte_batch] actually amortizes gate crossings *)
+      (** whether [write_pte_batch] actually amortizes gate crossings;
+          only {!stage} reads it *)
 }
 
 val native : Machine.t -> t
@@ -47,12 +54,10 @@ val native : Machine.t -> t
     recovered from the backend's own page tables at zero simulated
     cost); other downgrades broadcast-flush. *)
 
-val nested : Nested_kernel.State.t -> t
-(** Every operation crosses the nested-kernel gates. *)
-
-val nested_batched : Nested_kernel.State.t -> t
-(** The section-5.4 extension: callers that present batches get a
-    single gate crossing per batch. *)
+val nested : batched:bool -> Nested_kernel.State.t -> t
+(** Every operation crosses the nested-kernel gates.  With [~batched],
+    the section-5.4 extension: a batch takes a single gate crossing;
+    without, [write_pte_batch] is one crossing per tuple. *)
 
 val hypervisor : Machine.t -> t
 (** Simulated hypervisor mediation: native semantics, but every MMU
@@ -67,3 +72,31 @@ val with_inject : Nkinject.t -> t -> t
     [Pte_batch_error] sites.  Control-register loads, declares and
     removes pass through untouched, so a degraded run keeps making
     progress. *)
+
+(** {1 Stages}
+
+    A stage holds the PTE updates of one VM operation: the caller
+    pushes each update where it would write it and commits once. *)
+
+type stage
+
+val stage : t -> stage
+(** An empty stage over a backend. *)
+
+val push :
+  stage -> ptp:Addr.frame -> index:int -> Pte.t ->
+  (unit, Nested_kernel.Nk_error.t) result
+(** [write_pte] at once on a non-batching backend; on a batching one,
+    queue the update and return [Ok ()]. *)
+
+val commit : stage -> (unit, Nested_kernel.Nk_error.t) result
+(** Nothing on a non-batching backend.  On a batching one, issue the
+    queue as one [write_pte_batch] — an empty queue included, which
+    still crosses the gate once. *)
+
+val unwritten : stage -> (Addr.frame * int * Pte.t) list
+(** The pushed updates the page tables do not hold, in push order:
+    none on a non-batching backend (a failed [push] reports itself);
+    on a batching one, the whole queue before [commit], the suffix
+    from [index] after a commit failed with [Batch_item { index }], and
+    the whole queue after any other commit error. *)

@@ -62,6 +62,16 @@ let retire_ptp env ptp =
   | Ok () -> if Frame_alloc.owns env.falloc ptp then Frame_alloc.free env.falloc ptp
   | Error (_ : Nested_kernel.Nk_error.t) -> ()
 
+(* Unlink the kernel half (PML4 slots 256..511) a root shares, so the
+   root is empty again, then retire it. *)
+let clear_kernel_half env root =
+  for index = 256 to Addr.entries_per_table - 1 do
+    let e = Page_table.get_entry env.machine.Machine.mem ~ptp:root ~index in
+    if Pte.is_present e then
+      ignore (env.backend.Mmu_backend.write_pte ~ptp:root ~index Pte.empty)
+  done;
+  retire_ptp env root
+
 let create ?(domain = 0) env ~kernel_root =
   match Frame_alloc.alloc env.falloc with
   | None -> Error Ktypes.Enomem
@@ -70,7 +80,7 @@ let create ?(domain = 0) env ~kernel_root =
       | Error e ->
           Frame_alloc.free env.falloc root;
           Error e
-      | Ok () ->
+      | Ok () -> (
           (* Share the kernel half (PML4 slots 256..511) of the source
              root; its user half is never copied here — fork installs
              user mappings page by page for copy-on-write. *)
@@ -88,24 +98,7 @@ let create ?(domain = 0) env ~kernel_root =
                 copy (index + 1)
               else copy (index + 1)
           in
-          match copy 256 with
-          | Error e ->
-              (* Unwind the half-copied kernel half so the root is
-                 empty again, then retire it. *)
-              for index = 256 to Addr.entries_per_table - 1 do
-                let pe =
-                  Page_table.get_entry env.machine.Machine.mem ~ptp:root ~index
-                in
-                if Pte.is_present pe then
-                  ignore
-                    (env.backend.Mmu_backend.write_pte ~ptp:root ~index
-                       Pte.empty)
-              done;
-              retire_ptp env root;
-              Error e
-          | Ok () -> (
-          charge env cost_region_setup;
-          let asid_pair =
+          let asid_pair () =
             match env.asids with
             | Some pool -> (
                 (* A domain draws only from its own ASID partition; an
@@ -115,20 +108,13 @@ let create ?(domain = 0) env ~kernel_root =
                 | None -> Error Ktypes.Eagain)
             | None -> Ok (0, 0)
           in
-          match asid_pair with
+          match
+            let* () = copy 256 in
+            charge env cost_region_setup;
+            asid_pair ()
+          with
           | Error e ->
-              (* Clear the freshly-copied kernel half so the root is
-                 empty again, then retire it. *)
-              for index = 256 to Addr.entries_per_table - 1 do
-                let pe =
-                  Page_table.get_entry env.machine.Machine.mem ~ptp:root ~index
-                in
-                if Pte.is_present pe then
-                  ignore
-                    (env.backend.Mmu_backend.write_pte ~ptp:root ~index
-                       Pte.empty)
-              done;
-              retire_ptp env root;
+              clear_kernel_half env root;
               Error e
           | Ok (asid, asid_stamp) ->
               Ok
@@ -201,117 +187,49 @@ let leaf_of env vm va =
   | Page_table.Mapped w -> Some w
   | Page_table.Not_mapped _ -> None
 
-let install_leaf env vm va pte =
-  let* pt = ensure_pt env vm va in
-  let index = Addr.pt_index va in
-  let* () = oom (env.backend.Mmu_backend.write_pte ~ptp:pt ~index pte) in
-  Ok ()
-
-(* Install a freshly-allocated (unshared) frame at [va]; if the PTE
-   never lands, the frame goes straight back to the allocator. *)
-let install_fresh env vm va frame flags =
-  match install_leaf env vm va (Pte.make ~frame flags) with
-  | Ok () -> Ok ()
-  | Error e ->
-      Frame_alloc.free env.falloc frame;
-      Error e
-
 let flags_for prot kind =
   match (prot, kind) with
   | Ro, Text -> Pte.user_rx
   | Ro, (Anon | Stack | File) -> Pte.user_ro_nx
   | Rw, _ -> Pte.user_rw_nx
 
-let alloc_user_page env ~zero =
+(* A frame for one page of [region], charged for what filling it
+   costs. *)
+let alloc_page env region =
   match Frame_alloc.alloc env.falloc with
   | None -> Error Ktypes.Enomem
   | Some frame ->
-      if zero then begin
-        Phys_mem.zero_frame env.machine.Machine.mem frame;
-        charge env env.machine.Machine.costs.Costs.page_zero
-      end
-      else
-        (* Loading from an image/page cache costs a page copy. *)
-        charge env env.machine.Machine.costs.Costs.page_copy;
+      (match region.r_kind with
+      | File ->
+          (* Page-cache hit: the file page is already resident; only the
+             mapping bookkeeping and PTE insertion are paid. *)
+          charge env (cost_page_insert + 100)
+      | Text ->
+          (* Program text comes from the page cache on a warm system. *)
+          charge env (cost_page_insert + 150)
+      | Anon | Stack ->
+          Phys_mem.zero_frame env.machine.Machine.mem frame;
+          charge env env.machine.Machine.costs.Costs.page_zero;
+          charge env cost_page_insert);
       Ok frame
 
-let populate_page env vm va region =
-  match region.r_kind with
-  | File ->
-      (* Page-cache hit: the file page is already resident; only the
-         mapping bookkeeping and PTE insertion are paid. *)
-      let* frame =
-        match Frame_alloc.alloc env.falloc with
-        | None -> Error Ktypes.Enomem
-        | Some f -> Ok f
-      in
-      charge env (cost_page_insert + 100);
-      install_fresh env vm va frame (flags_for region.r_prot region.r_kind)
-  | Text ->
-      (* Program text comes from the page cache on a warm system. *)
-      let* frame =
-        match Frame_alloc.alloc env.falloc with
-        | None -> Error Ktypes.Enomem
-        | Some f -> Ok f
-      in
-      charge env (cost_page_insert + 150);
-      install_fresh env vm va frame (flags_for region.r_prot region.r_kind)
-  | Anon | Stack ->
-  let zero = true in
-  let* frame = alloc_user_page env ~zero in
-  charge env cost_page_insert;
-  install_fresh env vm va frame (flags_for region.r_prot region.r_kind)
-
-(* Batched population (section 5.4 extension): allocate and charge for
-   every page first, then install all leaf entries under a single gate
-   crossing. *)
-let collect_populate env vm region ~start ~len =
-  (* Frames in [acc] are allocated but not yet visible in any PTE, so
-     an unwind just hands them back. *)
-  let free_collected acc =
-    List.iter
-      (fun (_, _, pte) -> Frame_alloc.free env.falloc (Pte.frame pte))
-      acc
-  in
-  let rec go va acc =
-    if va >= start + len then Ok (List.rev acc)
-    else
-      let frame_result =
-        match region.r_kind with
-        | File ->
-            (match Frame_alloc.alloc env.falloc with
-            | None -> Error Ktypes.Enomem
-            | Some f ->
-                charge env (cost_page_insert + 100);
-                Ok f)
-        | Text ->
-            (match Frame_alloc.alloc env.falloc with
-            | None -> Error Ktypes.Enomem
-            | Some f ->
-                charge env (cost_page_insert + 150);
-                Ok f)
-        | Anon | Stack ->
-            let* f = alloc_user_page env ~zero:true in
-            charge env cost_page_insert;
-            Ok f
-      in
-      match frame_result with
-      | Error e ->
-          free_collected acc;
-          Error e
-      | Ok frame -> (
-          match ensure_pt env vm va with
-          | Error e ->
-              Frame_alloc.free env.falloc frame;
-              free_collected acc;
-              Error e
-          | Ok pt ->
-              let pte =
-                Pte.make ~frame (flags_for region.r_prot region.r_kind)
-              in
-              go (va + Addr.page_size) ((pt, Addr.pt_index va, pte) :: acc))
-  in
-  go start []
+(* Back [va] with a fresh frame, handing its leaf to [push]: the
+   backend's [write_pte] for a demand fault, which stays one PTE write
+   and never a one-item batch, or a stage's [push] for an eager mmap.
+   A leaf with no page table, or one [push] rejects, sends the frame
+   straight back to the allocator. *)
+let populate_page env vm va region push =
+  let* frame = alloc_page env region in
+  match
+    let* ptp = ensure_pt env vm va in
+    oom
+      (push ~ptp ~index:(Addr.pt_index va)
+         (Pte.make ~frame (flags_for region.r_prot region.r_kind)))
+  with
+  | Ok () -> Ok ()
+  | Error e ->
+      Frame_alloc.free env.falloc frame;
+      Error e
 
 let find_region vm va =
   List.find_opt
@@ -333,11 +251,9 @@ let unmap_region env vm start =
   | Some r ->
       vm.regions <- List.filter (fun r' -> r' != r) vm.regions;
       (* Gather every present leaf and clear them through one
-         write_pte_batch call.  Even for a non-batched backend (which
-         splits the batch into per-PTE calls) this keeps the span
-         together, so a batching backend gets its shootdowns coalesced
-         and a splitting one behaves exactly as the old per-page
-         loop. *)
+         write_pte_batch call on every backend, not a stage: a batching
+         backend coalesces the span's shootdowns, and every munmap
+         draws the pte-batch injection site exactly once. *)
       let updates = ref [] in
       let va = ref r.r_start in
       while !va < r.r_start + r.r_len do
@@ -370,36 +286,26 @@ let map_region env vm ?at ~len prot kind ~populate =
       let region = { r_start = start; r_len = len; r_prot = prot; r_kind = kind } in
       vm.regions <- region :: vm.regions;
       charge env cost_region_setup;
-      (* A failed populate must not leave a half-filled region behind:
-         drop the region and whatever pages did land, then report. *)
-      let unwind e =
-        ignore (unmap_region env vm start);
-        Error e
-      in
       if not populate then Ok start
-      else if env.backend.Mmu_backend.batched then
-        match collect_populate env vm region ~start ~len with
-        | Error e -> unwind e
-        | Ok updates -> (
-            match oom (env.backend.Mmu_backend.write_pte_batch updates) with
-            | Ok () -> Ok start
-            | Error e ->
-                (* The batch never landed: the collected frames are
-                   invisible, so hand them back before unwinding. *)
-                List.iter
-                  (fun (_, _, pte) ->
-                    Frame_alloc.free env.falloc (Pte.frame pte))
-                  updates;
-                unwind e)
       else
+        let s = Mmu_backend.stage env.backend in
         let rec fill va =
-          if va >= start + len then Ok start
+          if va >= start + len then oom (Mmu_backend.commit s)
           else
-            match populate_page env vm va region with
-            | Ok () -> fill (va + Addr.page_size)
-            | Error e -> unwind e
+            let* () = populate_page env vm va region (Mmu_backend.push s) in
+            fill (va + Addr.page_size)
         in
-        fill start
+        match fill start with
+        | Ok () -> Ok start
+        | Error e ->
+            (* A failed populate must not leave a half-filled region
+               behind: hand back the frames whose leaves never landed,
+               then unmap the region and whatever pages did land. *)
+            List.iter
+              (fun (_, _, pte) -> Frame_alloc.free env.falloc (Pte.frame pte))
+              (Mmu_backend.unwritten s);
+            ignore (unmap_region env vm start);
+            Error e
     end
   end
 
@@ -419,7 +325,9 @@ let handle_fault env vm va kind =
       match leaf_of env vm va_page with
       | None ->
           if kind = Fault.Write && region.r_prot = Ro then Error Ktypes.Efault
-          else populate_page env vm va_page region
+          else
+            populate_page env vm va_page region
+              env.backend.Mmu_backend.write_pte
       | Some w ->
           if kind = Fault.Write && region.r_prot = Rw then
             if not w.Page_table.writable then begin
@@ -487,7 +395,7 @@ let retire_user_tables env vm =
       end
     done
   in
-  (* Only the user half (PML4 slots 0..127); the kernel half is shared. *)
+  (* Only the user half (PML4 slots 0..255); the kernel half is shared. *)
   teardown vm.root 4 ~first:0 ~last:255
 
 let unmap_all env vm =
@@ -496,13 +404,7 @@ let unmap_all env vm =
 let destroy env vm =
   unmap_all env vm;
   retire_user_tables env vm;
-  (* Clear kernel-half links, then retire the root itself. *)
-  for index = 256 to Addr.entries_per_table - 1 do
-    let e = Page_table.get_entry env.machine.Machine.mem ~ptp:vm.root ~index in
-    if Pte.is_present e then
-      ignore (env.backend.Mmu_backend.write_pte ~ptp:vm.root ~index Pte.empty)
-  done;
-  retire_ptp env vm.root;
+  clear_kernel_half env vm.root;
   (match env.asids with
   | Some pool -> Asid_pool.free pool ~asid:vm.asid ~stamp:vm.asid_stamp
   | None -> ());
@@ -512,80 +414,52 @@ let fork env parent =
   let* child = create env ~kernel_root:parent.root in
   child.regions <- parent.regions;
   child.next_mmap <- parent.next_mmap;
-  if env.backend.Mmu_backend.batched then begin
-    (* Collect the parent downgrades and the child's shared read-only
-       installs, then apply each set under one gate crossing. *)
-    let downgrades = ref [] and installs = ref [] in
-    let failure = ref None in
-    Page_table.iter_user_leaves env.machine.Machine.mem ~root:parent.root
-      (fun ~va ~ptp ~index pte ->
-        if !failure = None then begin
-          let ro = Pte.set_writable pte false in
-          if Pte.is_writable pte then
-            downgrades := (ptp, index, ro) :: !downgrades;
-          (match ensure_pt env child va with
-          | Ok pt ->
-              installs := (pt, Addr.pt_index va, ro) :: !installs;
-              share_incr env (Pte.frame pte);
-              charge env cost_page_insert
-          | Error e -> failure := Some e)
-        end);
-    (* Unwind a half-built child: the collected installs were never
-       written (the batch is all-or-nothing here), so their share
-       counts roll back first, then the skeleton is destroyed.  Parent
-       downgrades that did land are harmless — writes re-upgrade via
-       the spurious-COW path. *)
-    let fail e =
+  (* Parent downgrades and child installs each fill one stage; the
+     downgrades commit first, so no child leaf is installed before the
+     parent's copy of it is read-only. *)
+  let downgrades = Mmu_backend.stage env.backend
+  and installs = Mmu_backend.stage env.backend in
+  let failure = ref None in
+  Page_table.iter_user_leaves env.machine.Machine.mem ~root:parent.root
+    (fun ~va ~ptp ~index pte ->
+      if !failure = None then
+        let ro = Pte.set_writable pte false in
+        let step =
+          let* () =
+            if Pte.is_writable pte then
+              oom (Mmu_backend.push downgrades ~ptp ~index ro)
+            else Ok ()
+          in
+          let* pt = ensure_pt env child va in
+          let* () =
+            oom (Mmu_backend.push installs ~ptp:pt ~index:(Addr.pt_index va) ro)
+          in
+          share_incr env (Pte.frame pte);
+          charge env cost_page_insert;
+          Ok ()
+        in
+        match step with Ok () -> () | Error e -> failure := Some e);
+  let result =
+    match !failure with
+    | Some e -> Error e
+    | None ->
+        let* () = oom (Mmu_backend.commit downgrades) in
+        oom (Mmu_backend.commit installs)
+  in
+  match result with
+  | Ok () ->
+      Machine.count_ev env.machine Nktrace.Fork_vm;
+      Ok child
+  | Error e ->
+      (* An install the child's tables do not hold must not keep its
+         share; destroy then releases the installs that did land, one
+         by one.  Parent downgrades that landed are harmless — a write
+         re-upgrades through the spurious-COW path. *)
       List.iter
         (fun (_, _, pte) -> ignore (share_decr env (Pte.frame pte)))
-        !installs;
+        (Mmu_backend.unwritten installs);
       destroy env child;
       Error e
-    in
-    match !failure with
-    | Some e -> fail e
-    | None -> (
-        match
-          let* () =
-            oom (env.backend.Mmu_backend.write_pte_batch (List.rev !downgrades))
-          in
-          oom (env.backend.Mmu_backend.write_pte_batch (List.rev !installs))
-        with
-        | Error e -> fail e
-        | Ok () ->
-            Machine.count_ev env.machine Nktrace.Fork_vm;
-            Ok child)
-  end
-  else begin
-    let failure = ref None in
-    Page_table.iter_user_leaves env.machine.Machine.mem ~root:parent.root
-      (fun ~va ~ptp ~index pte ->
-        if !failure = None then begin
-          let frame = Pte.frame pte in
-          let ro = Pte.set_writable pte false in
-          let step =
-            let* () =
-              if Pte.is_writable pte then
-                oom (env.backend.Mmu_backend.write_pte ~ptp ~index ro)
-              else Ok ()
-            in
-            let* () = install_leaf env child va ro in
-            share_incr env frame;
-            charge env cost_page_insert;
-            Ok ()
-          in
-          match step with Ok () -> () | Error e -> failure := Some e
-        end);
-    match !failure with
-    | Some e ->
-        (* Leaves already installed in the child carry their own share
-           counts; destroy releases them one by one. *)
-        destroy env child;
-        Error e
-    | None ->
-        Machine.count_ev env.machine Nktrace.Fork_vm;
-        Ok child
-  end
 
 let exec_reset env vm ~text_pages ~data_pages ~stack_pages =
   unmap_all env vm;

@@ -4,7 +4,10 @@ open Nkhw
 
     All translation updates go through the pluggable {!Mmu_backend},
     so the same code serves the native baseline and every nested
-    configuration.  Implements the paths the paper's LMBench numbers
+    configuration.  An eager mmap or a fork pushes its PTE updates
+    into a {!Mmu_backend.stage}, which decides whether they go one by
+    one or as one batch: this module has one path per operation and
+    never asks which kind of backend it runs on.  Implements the paths the paper's LMBench numbers
     exercise: demand paging, eager population, copy-on-write fork,
     exec tear-down/rebuild, and full destruction. *)
 
@@ -63,7 +66,9 @@ val map_region :
   populate:bool ->
   (Addr.va, Ktypes.errno) result
 (** mmap: create a region ([at] defaults to the mmap area), eagerly
-    populating its pages when [populate]. *)
+    populating its pages when [populate].  A failed populate drops the
+    region and returns each page's frame exactly once, also after a
+    batch the backend applied only in part. *)
 
 val unmap_region : env -> t -> Addr.va -> (unit, Ktypes.errno) result
 (** munmap of a whole region by its start address. *)
@@ -77,7 +82,9 @@ val handle_fault :
 val fork : env -> t -> (t, Ktypes.errno) result
 (** Copy-on-write duplicate: every populated writable page is
     downgraded to read-only in the parent and mapped shared in the
-    child. *)
+    child.  On failure the child is destroyed and only the installs
+    that landed in it held a share, so every parent frame stays
+    allocated. *)
 
 val exec_reset :
   env ->

@@ -88,6 +88,69 @@ let test_nested_backend_validates () =
   Helpers.check_ok "declare" (b.Mmu_backend.declare_ptp ~level:1 f);
   Helpers.check_ok "now accepted" (b.Mmu_backend.write_pte ~ptp:f ~index:0 Pte.empty)
 
+(* A declared level-1 PTP and the user leaf a stage test writes into
+   its slot 0. *)
+let stage_fixture k =
+  let b = k.Kernel.backend in
+  let f = Frame_alloc.alloc_exn k.Kernel.falloc in
+  Helpers.check_ok "declare" (b.Mmu_backend.declare_ptp ~level:1 f);
+  let leaf = Pte.make ~frame:(Frame_alloc.alloc_exn k.Kernel.falloc) Pte.user_rw_nx in
+  let landed () =
+    Page_table.get_entry k.Kernel.machine.Machine.mem ~ptp:f ~index:0 = leaf
+  in
+  (b, f, leaf, landed)
+
+let test_stage_native_writes_at_once () =
+  let b, f, leaf, landed = stage_fixture (Helpers.kernel Config.Native) in
+  let s = Mmu_backend.stage b in
+  Helpers.check_ok "push" (Mmu_backend.push s ~ptp:f ~index:0 leaf);
+  Alcotest.(check bool) "visible at once" true (landed ());
+  Alcotest.(check int) "nothing unwritten" 0
+    (List.length (Mmu_backend.unwritten s));
+  Helpers.check_ok "commit" (Mmu_backend.commit s)
+
+let test_stage_batched_writes_on_commit () =
+  let b, f, leaf, landed =
+    stage_fixture (Os.boot ~frames:4096 ~batched:true Config.Perspicuos)
+  in
+  let s = Mmu_backend.stage b in
+  Helpers.check_ok "push" (Mmu_backend.push s ~ptp:f ~index:0 leaf);
+  Alcotest.(check bool) "invisible before commit" false (landed ());
+  Alcotest.(check bool) "the queue is unwritten" true
+    (Mmu_backend.unwritten s = [ (f, 0, leaf) ]);
+  Helpers.check_ok_nk "commit" (Mmu_backend.commit s);
+  Alcotest.(check bool) "visible after commit" true (landed ());
+  Alcotest.(check int) "nothing unwritten after commit" 0
+    (List.length (Mmu_backend.unwritten s))
+
+let test_stage_empty_commit_crosses_once () =
+  let k = Os.boot ~frames:4096 ~batched:true Config.Perspicuos in
+  let w = Window.start k.Kernel.machine in
+  Helpers.check_ok_nk "empty commit"
+    (Mmu_backend.commit (Mmu_backend.stage k.Kernel.backend));
+  Alcotest.(check int) "one batch counted" 1
+    (Window.count w Nktrace.Pte_write_batch)
+
+let test_split_batch_prefix_contract () =
+  let k = Helpers.kernel Config.Perspicuos in
+  let b, f, leaf, landed = stage_fixture k in
+  let undeclared = Frame_alloc.alloc_exn k.Kernel.falloc in
+  let entry index =
+    Page_table.get_entry k.Kernel.machine.Machine.mem ~ptp:f ~index
+  in
+  let leaf1 = Pte.make ~frame:(Pte.frame leaf) Pte.user_ro_nx in
+  (match
+     b.Mmu_backend.write_pte_batch
+       [ (f, 0, leaf); (f, 1, leaf1); (undeclared, 0, leaf); (f, 3, leaf) ]
+   with
+  | Error (Nested_kernel.Nk_error.Batch_item { index = 2; _ }) -> ()
+  | Error e ->
+      Alcotest.failf "wrong rejection: %s" (Nested_kernel.Nk_error.to_string e)
+  | Ok () -> Alcotest.fail "batch through an undeclared PTP accepted");
+  Alcotest.(check bool) "tuple 0 applied" true (landed ());
+  Alcotest.(check bool) "tuple 1 applied" true (entry 1 = leaf1);
+  Alcotest.(check bool) "tuple 3 not applied" false (Pte.is_present (entry 3))
+
 let test_syscall_table_native_rw () =
   let k = Helpers.kernel Config.Native in
   let t = k.Kernel.syscall_table in
@@ -124,6 +187,14 @@ let suite =
       test_native_backend_tlb_maintenance;
     Alcotest.test_case "nested backend validates" `Quick
       test_nested_backend_validates;
+    Alcotest.test_case "stage writes at once on native" `Quick
+      test_stage_native_writes_at_once;
+    Alcotest.test_case "stage writes on commit when batched" `Quick
+      test_stage_batched_writes_on_commit;
+    Alcotest.test_case "empty batched commit crosses once" `Quick
+      test_stage_empty_commit_crosses_once;
+    Alcotest.test_case "split batch keeps the prefix contract" `Quick
+      test_split_batch_prefix_contract;
     Alcotest.test_case "syscall table native" `Quick test_syscall_table_native_rw;
     Alcotest.test_case "syscall table bounds" `Quick test_syscall_table_bounds;
   ]

@@ -261,6 +261,69 @@ let test_batched_backend_equivalence () =
         (Nested_kernel.Api.audit_ok nk)
   | None -> ()
 
+(* [env] over a batching backend whose [nth] write_pte_batch call
+   applies tuple 0 and rejects tuple 1: the vMMU's prefix contract,
+   which the caller's unwind must respect. *)
+let prefix_failing env ~nth =
+  let b = env.Vmspace.backend in
+  let calls = ref 0 in
+  let write_pte_batch updates =
+    incr calls;
+    match updates with
+    | (ptp, index, pte) :: _ :: _ when !calls = nth ->
+        Helpers.check_ok_nk "tuple 0" (b.Mmu_backend.write_pte ~ptp ~index pte);
+        Error
+          (Nested_kernel.Nk_error.Batch_item
+             { index = 1; error = Nested_kernel.Nk_error.Injected "tuple 1" })
+    | _ -> b.Mmu_backend.write_pte_batch updates
+  in
+  { env with Vmspace.backend = { b with Mmu_backend.write_pte_batch } }
+
+let batched_kernel () = Os.boot ~frames:4096 ~batched:true Config.Perspicuos
+
+let test_failed_populate_batch_frees_once () =
+  let free_after map =
+    let k = batched_kernel () in
+    let env = k.Kernel.env in
+    map env (Kernel.current_proc k).Proc.vm;
+    Frame_alloc.free_count env.Vmspace.falloc
+  in
+  let mmap env vm =
+    Vmspace.map_region env vm ~len:(4 * page) Vmspace.Rw Vmspace.Anon
+      ~populate:true
+  in
+  let expected =
+    free_after (fun env vm ->
+        let va = Result.get_ok (mmap env vm) in
+        Helpers.check_ok "unmap" (Vmspace.unmap_region env vm va))
+  in
+  let got =
+    free_after (fun env vm ->
+        match mmap (prefix_failing env ~nth:1) vm with
+        | Error _ -> ()
+        | Ok _ -> Alcotest.fail "map with a rejected leaf succeeded")
+  in
+  Alcotest.(check int) "free frames as after map + unmap" expected got
+
+let test_failed_fork_install_batch_keeps_parent_frames () =
+  let k = batched_kernel () in
+  let env = k.Kernel.env and vm = (Kernel.current_proc k).Proc.vm in
+  ignore
+    (Result.get_ok
+       (Vmspace.map_region env vm ~len:(4 * page) Vmspace.Rw Vmspace.Anon
+          ~populate:true));
+  (* Batch 1 is the parent downgrades, batch 2 the child installs. *)
+  (match Vmspace.fork (prefix_failing env ~nth:2) vm with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "fork with a rejected install succeeded");
+  let freed = ref 0 and shared = ref 0 in
+  Page_table.iter_user_leaves k.Kernel.machine.Machine.mem ~root:vm.Vmspace.root
+    (fun ~va:_ ~ptp:_ ~index:_ pte ->
+      if Frame_alloc.is_free env.Vmspace.falloc (Pte.frame pte) then incr freed;
+      if Hashtbl.mem env.Vmspace.share (Pte.frame pte) then incr shared);
+  Alcotest.(check int) "no parent leaf maps a free frame" 0 !freed;
+  Alcotest.(check int) "no share outlives the child" 0 !shared
+
 let test_asid_pool_recycling () =
   let k = Helpers.kernel Config.Perspicuos in
   let env = k.Kernel.env in
@@ -323,6 +386,10 @@ let suite =
     Alcotest.test_case "exec-kind faults" `Quick test_exec_fault_kind;
     Alcotest.test_case "batched backend equivalence" `Quick
       test_batched_backend_equivalence;
+    Alcotest.test_case "failed populate batch frees each frame once" `Quick
+      test_failed_populate_batch_frees_once;
+    Alcotest.test_case "failed fork install batch keeps parent frames" `Quick
+      test_failed_fork_install_batch_keeps_parent_frames;
     Alcotest.test_case "ASID pool recycling" `Quick test_asid_pool_recycling;
     Alcotest.test_case "no PCID, no ASIDs" `Quick test_no_pcid_no_asids;
   ]
