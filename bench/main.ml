@@ -449,7 +449,7 @@ let extra_smp_scaling () =
      sweep checked costs nothing in simulated time; host time around
      the sweep gives the wallclock rate (simulated cycles per host
      second) the JSON reports. *)
-  let points, host_secs = timed (Smp_scale.run ~coherence:true) in
+  let points, host_secs = timed Smp_scale.run in
   json_add "smp_scaling" (Smp_scale.to_json ~host_secs points);
   gate "smp_scaling" (Smp_scale.check points);
   Stats.print (Smp_scale.to_table points)

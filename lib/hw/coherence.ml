@@ -137,7 +137,7 @@ let check_machine ?(root_of_asid = fun _ -> None)
     let active_root = Cr.root_frame m.Machine.cr in
     let active_asid = Cr.asid m.Machine.cr in
     let violations = ref [] in
-    let check_tlb ~cpu tlb =
+    let check_tlb ~cpu ~active tlb =
       (* Packed iteration: the clean path (no stale entry) touches no
          heap at all — entries, walks and comparisons are all single
          ints; records are built only to report a violation or consult
@@ -145,7 +145,7 @@ let check_machine ?(root_of_asid = fun _ -> None)
       Tlb.iter_live_packed tlb ~f:(fun ~asid ~vpage p ->
           let root =
             if asid = -1 then active_root
-            else if cpu = 0 && asid = active_asid then active_root
+            else if active && asid = active_asid then active_root
             else match root_of_asid asid with Some r -> r | None -> -1
           in
           if root >= 0 then
@@ -175,8 +175,12 @@ let check_machine ?(root_of_asid = fun _ -> None)
                   }
                   :: !violations)
     in
-    check_tlb ~cpu:0 m.Machine.tlb;
-    Array.iteri (fun i tlb -> check_tlb ~cpu:(i + 1) tlb) m.Machine.peer_tlbs;
+    check_tlb ~cpu:m.Machine.cur_cpu ~active:true m.Machine.tlb;
+    let ids = m.Machine.peer_ids in
+    Array.iteri
+      (fun i tlb ->
+        check_tlb ~cpu:(if i < Array.length ids then ids.(i) else -1) ~active:false tlb)
+      m.Machine.peer_tlbs;
     List.rev !violations
   end
 
@@ -199,7 +203,7 @@ let check_va ?(deferred = no_deferred) ?(op = "access") (m : Machine.t) va =
       | Some why ->
           [
             {
-              v_cpu = 0;
+              v_cpu = m.Machine.cur_cpu;
               v_asid =
                 (if Tlb.packed_global p then None
                  else Some (Cr.asid m.Machine.cr));

@@ -26,7 +26,9 @@ type walk = {
 }
 
 type violation = {
-  v_cpu : int;  (** 0 = active CPU, [i >= 1] = i-th parked peer *)
+  v_cpu : int;
+      (** id of the CPU whose TLB holds the entry, active or parked
+          ([-1] for a peer {!Smp} did not register) *)
   v_asid : int option;  (** [None] for a global entry *)
   v_vpage : int;
   v_cached : Tlb.entry;  (** what the TLB would serve *)

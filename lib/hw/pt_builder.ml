@@ -33,13 +33,3 @@ let map_range mem ~root ~alloc_ptp ?on_new_ptp ~va ~first_frame ~count flags =
 let build_direct_map mem ~root ~alloc_ptp ?on_new_ptp ~frames flags =
   map_range mem ~root ~alloc_ptp ?on_new_ptp ~va:Addr.kernbase ~first_frame:0
     ~count:frames flags
-
-let set_leaf_flags mem ~root va flags =
-  match Page_table.walk mem ~root va with
-  | Page_table.Not_mapped { level } ->
-      Error (Printf.sprintf "set_leaf_flags: not mapped (level %d)" level)
-  | Page_table.Mapped w ->
-      let old = Page_table.get_entry mem ~ptp:w.leaf_ptp ~index:w.leaf_index in
-      Page_table.set_entry mem ~ptp:w.leaf_ptp ~index:w.leaf_index
-        (Pte.with_flags old flags);
-      Ok ()

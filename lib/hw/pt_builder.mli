@@ -31,8 +31,3 @@ val build_direct_map :
   unit
 (** Map physical frames [0, frames) at [Addr.kernbase] (the kernel
     direct map) with uniform flags. *)
-
-val set_leaf_flags :
-  Phys_mem.t -> root:Addr.frame -> Addr.va -> Pte.flags -> (unit, string) result
-(** Rewrite the flags of an existing leaf mapping (protection pass at
-    boot). *)

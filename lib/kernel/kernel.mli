@@ -56,18 +56,15 @@ and syscall_log = {
 }
 
 val boot :
-  ?frames:int -> ?batched:bool -> ?pcid:bool -> ?coherence:bool ->
-  ?trace:bool -> ?cpus:int -> ?domains:int -> ?inject:Nkinject.t -> Config.t -> t
+  ?frames:int -> ?batched:bool -> ?pcid:bool -> ?trace:bool -> ?cpus:int ->
+  ?domains:int -> ?inject:Nkinject.t -> Config.t -> t
 (** Boot the machine and kernel in the given configuration.  The
     system-call table is empty; {!Syscalls.install_all} (or {!Os.boot})
     populates it.  [batched] selects the batched vMMU backend
     (section 5.4 ablation; nested configurations only).  [pcid]
     (default on) enables CR4.PCIDE and tagged address-space switching
     backed by an ASID pool; turn it off for the ablation baseline.
-    [coherence] (default off) installs the differential TLB-coherence
-    oracle ({!Nkhw.Coherence}) for the whole run, raising
-    [Coherence.Violation] on any stale-and-more-permissive cached
-    translation.  [trace] (default off) enables the cycle-stamped
+    [trace] (default off) enables the cycle-stamped
     {!Nktrace} tracer on the machine from the first instruction;
     tracing charges no simulated cycles either way.  [cpus] (default 1)
     brings up that many CPUs: CPU 0 boots init (pid 1), the application

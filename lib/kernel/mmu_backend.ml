@@ -10,7 +10,6 @@ type t = {
   remove_ptp : Addr.frame -> (unit, Nested_kernel.Nk_error.t) result;
   load_cr3 : Addr.frame -> (unit, Nested_kernel.Nk_error.t) result;
   load_cr3_pcid : pcid:int -> Addr.frame -> (unit, Nested_kernel.Nk_error.t) result;
-  root_of_asid : int -> Addr.frame option;
   batched : bool;
 }
 
@@ -202,7 +201,6 @@ let native (m : Machine.t) =
         Ok ());
     load_cr3;
     load_cr3_pcid;
-    root_of_asid = (fun asid -> Hashtbl.find_opt pcid_roots asid);
     batched = false;
   }
 
@@ -218,7 +216,6 @@ let nested ~batched (st : Nested_kernel.State.t) =
     remove_ptp = (fun frame -> Api.remove_ptp st frame);
     load_cr3 = (fun frame -> Api.load_cr3 st frame);
     load_cr3_pcid = (fun ~pcid frame -> Api.load_cr3_pcid st ~pcid frame);
-    root_of_asid = (fun asid -> Api.nk_root_of_asid st asid);
     batched;
   }
 

@@ -39,9 +39,6 @@ type t = {
       (** PCID-tagged switch: skips the TLB flush when the (pcid, root)
           pair was the last one loaded under that tag; falls back to
           [load_cr3] semantics when CR4.PCIDE is clear *)
-  root_of_asid : int -> Addr.frame option;
-      (** the root each ASID was last bound to — the resolver the
-          TLB-coherence oracle needs to audit parked-ASID entries *)
   batched : bool;
       (** whether [write_pte_batch] actually amortizes gate crossings;
           only {!stage} reads it *)

@@ -37,12 +37,11 @@ let audit_ok = Invariants.audit_ok
 (* The nested kernel knows which root each PCID was bound to (the
    clean-pair table maintained by [load_cr3_pcid]); hand that to the
    oracle so parked-ASID entries are audited against the right tree. *)
-let nk_root_of_asid (st : t) asid = Hashtbl.find_opt st.State.pcid_roots asid
+let root_of_asid (st : t) asid = Hashtbl.find_opt st.State.pcid_roots asid
 
 let nk_flush_deferred = Vmmu.flush_deferred_frame
 let nk_flush_all_deferred = Vmmu.flush_all_deferred
 let nk_deferred_live (st : t) = State.deferred_live st
-let nk_is_deferred (st : t) = State.is_deferred st
 
 (* Tenant domains (ROADMAP item 5): lifecycle, entry, ownership
    adoption, the only inter-tenant channel, and the mediated shootdown
@@ -66,7 +65,7 @@ module Diagnostics = struct
   module Coherence = struct
     let enable ?on_violation (st : t) =
       Nkhw.Coherence.enable ?on_violation
-        ~root_of_asid:(nk_root_of_asid st)
+        ~root_of_asid:(root_of_asid st)
         ~deferred:(State.is_deferred st) st.State.machine
 
     (* Drain the deferred-unmap queue before the oracle goes away:
@@ -79,7 +78,7 @@ module Diagnostics = struct
 
     let snapshot ?op (st : t) =
       Nkhw.Coherence.check_machine
-        ~root_of_asid:(nk_root_of_asid st)
+        ~root_of_asid:(root_of_asid st)
         ~deferred:(State.is_deferred st) ?op st.State.machine
   end
 

@@ -64,10 +64,6 @@ val retire_code : t -> frames:Addr.frame list -> (unit, Nk_error.t) result
 val audit : t -> Invariants.violation list
 val audit_ok : t -> bool
 
-val nk_root_of_asid : t -> int -> Addr.frame option
-(** The root a PCID is currently bound to, per the vMMU's clean-pair
-    table — the ASID resolver the coherence oracle uses. *)
-
 val nk_flush_deferred : t -> Addr.frame -> unit
 (** Fire any lazy unmap invalidations still pending on this frame —
     the reuse barrier kernel boot wires into the outer frame
@@ -78,10 +74,6 @@ val nk_flush_all_deferred : t -> unit
 
 val nk_deferred_live : t -> int
 (** Number of pending lazy-invalidation records. *)
-
-val nk_is_deferred : t -> vpage:int -> Tlb.entry -> bool
-(** The oracle exemption predicate: is this cached translation one of
-    the declared pending lazy invalidations?  See {!State.is_deferred}. *)
 
 (** {1 Tenant domains}
 
@@ -124,7 +116,10 @@ module Diagnostics : sig
       ?on_violation:(Coherence.violation list -> unit) -> t -> unit
     (** Install the oracle on this instance's machine, resolving parked
         ASIDs through the vMMU's PCID-root bindings and exempting the
-        declared pending lazy invalidations ({!nk_is_deferred}).
+        declared pending lazy invalidations ({!State.is_deferred}).
+        The only installer of the oracle on a nested kernel: boot and
+        arm it right after, and the first full audit (at the next gate
+        exit) still checks every entry boot left cached.
         Raises [Coherence.Violation] on any stale-and-more-permissive
         cached translation unless [on_violation] is given. *)
 

@@ -16,12 +16,17 @@ val validate : bytes -> (unit, Nk_error.t) result
 val install_code :
   State.t -> frames:Addr.frame list -> bytes -> (unit, Nk_error.t) result
 (** Validate [code] and copy it into [frames] (page-sized chunks),
-    retyping them [Outer_code], marking them validated, write-protecting
-    their direct-map mappings and shielding them from DMA.  The outer
-    kernel may then map them executable via {!Vmmu.write_pte}. *)
+    then {!State.retype} each to validated [Outer_code]: direct-map
+    mappings read-only and executable, shielded from DMA.  The outer
+    kernel may then map them executable via {!Vmmu.write_pte}.  A
+    failed direct-map store aborts, leaving the earlier frames
+    installed. *)
 
 val retire_code :
   State.t -> frames:Addr.frame list -> (unit, Nk_error.t) result
 (** Module unload: retype the frames back to ordinary outer-kernel
-    data (writable, NX).  Fails if any frame is still mapped outside
-    the direct map. *)
+    data (writable, NX).  Only installed code retires: a frame that is
+    not validated [Outer_code] (a PTP, a nested-kernel page, protected
+    data) is rejected with [Not_declarable] naming it, before anything
+    changes.  Also fails if any frame is still mapped outside the
+    direct map. *)

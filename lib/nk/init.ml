@@ -79,26 +79,19 @@ let boot ?layout (m : Machine.t) =
       if Frame_alloc.is_free ptp_pool f then Pgdesc.set_type descs f Pgdesc.Nk_data
     done;
     register_tree descs m.Machine.mem ~root;
-    (* Protection pass: rewrite direct-map leaf flags per page type,
-       keeping every leaf global. *)
-    for f = 0 to total - 1 do
-      let flags =
-        match Pgdesc.page_type descs f with
-        | Pgdesc.Nk_code -> Pte.kernel_rx
-        | Pgdesc.Nk_data | Pgdesc.Nk_stack | Pgdesc.Protected_data
-        | Pgdesc.Ptp _ ->
-            Pte.kernel_ro_nx
-        | Pgdesc.Outer_code -> Pte.kernel_rx
-        | Pgdesc.Unused | Pgdesc.Outer_data | Pgdesc.User ->
-            Pte.kernel_rw_nx
-      in
-      match
-        Pt_builder.set_leaf_flags m.Machine.mem ~root (Addr.kva_of_frame f)
-          { flags with Pte.global = true }
-      with
-      | Ok () -> ()
-      | Error msg -> failwith ("Init.boot: " ^ msg)
-    done;
+    (* Protection pass: every frame gets its row of the protection
+       table — direct-map leaf rights (raw stores; the leaf stays
+       global) and the IOMMU shield from DMA (section 2.5). *)
+    Iommu.set_enabled m.Machine.iommu true;
+    Pgdesc.iter descs (fun f d ->
+        let ty = d.Pgdesc.ptype and validated = d.Pgdesc.validated_code in
+        List.iter
+          (fun (mp : Pgdesc.mapping) ->
+            let e = Page_table.get_entry m.Machine.mem ~ptp:mp.ptp ~index:mp.index in
+            Page_table.set_entry m.Machine.mem ~ptp:mp.ptp ~index:mp.index
+              (Pgdesc.with_rights ty ~validated e))
+          (Pgdesc.data_maps descs f);
+        if Pgdesc.shielded ty ~validated then Iommu.protect_frame m.Machine.iommu f);
     (* Install gate code and the secure stack. *)
     let gate =
       Gate.install m.Machine.mem
@@ -113,15 +106,6 @@ let boot ?layout (m : Machine.t) =
     done;
     let idt_va = Addr.kva_of_frame idt_first in
     m.Machine.idtr <- Some idt_va;
-    (* IOMMU: shield every protected frame from DMA (section 2.5). *)
-    Iommu.set_enabled m.Machine.iommu true;
-    Pgdesc.iter descs (fun f d ->
-        match d.Pgdesc.ptype with
-        | Pgdesc.Ptp _ | Pgdesc.Nk_code | Pgdesc.Nk_data | Pgdesc.Nk_stack
-        | Pgdesc.Protected_data ->
-            Iommu.protect_frame m.Machine.iommu f
-        | Pgdesc.Unused | Pgdesc.Outer_code | Pgdesc.Outer_data | Pgdesc.User ->
-            ());
     (* SMM is nested-kernel property from here on (I10). *)
     m.Machine.smm_owner <- Machine.Smm_nested_kernel;
     (* Turn on long-mode paging with protections armed (I3, I7). *)

@@ -63,6 +63,36 @@ let table_links t f =
 let data_maps t f =
   List.filter (fun m -> m.kind = Data_map) (get t f).mappings
 
+(* The page-protection table: (writable, executable) for a supervisor
+   leaf of each type, and whether the IOMMU shields the frame. *)
+let rights ty ~validated =
+  match ty with
+  | Ptp _ | Nk_data | Nk_stack | Protected_data -> (false, false)
+  | Nk_code -> (false, true)
+  | Outer_code -> (false, validated)
+  | Unused | Outer_data | User -> (true, false)
+
+let shielded ty ~validated =
+  match ty with
+  | Ptp _ | Nk_data | Nk_stack | Protected_data | Nk_code -> true
+  | Outer_code -> validated
+  | Unused | Outer_data | User -> false
+
+let writable ty = fst (rights ty ~validated:false)
+
+let with_rights ty ~validated pte =
+  let w, x = rights ty ~validated in
+  Pte.set_nx (Pte.set_writable pte w) (not x)
+
+let limit t f pte =
+  let d = get t f in
+  match d.ptype with
+  | (User | Unused) when Pte.is_user pte -> pte
+  | ty ->
+      let w, x = rights ty ~validated:d.validated_code in
+      let pte = if w then pte else Pte.set_writable pte false in
+      if x then pte else Pte.set_nx pte true
+
 let is_write_protected_type t f =
   match page_type t f with
   | Ptp _ | Nk_code | Nk_data | Nk_stack | Protected_data | Outer_code -> true

@@ -61,6 +61,39 @@ val table_links : t -> Addr.frame -> mapping list
 
 val data_maps : t -> Addr.frame -> mapping list
 
+(** {2 The page-protection table}
+
+    The nested kernel's one per-type protection decision: what a
+    supervisor leaf of the frame may grant, and whether the IOMMU
+    shields it from DMA (I1, I2, I5 and lifetime code integrity).
+
+    {v
+      page type                            writable  executable    shielded
+      Ptp, Nk_data, Nk_stack, Protected_data  no        no            yes
+      Nk_code                                 no        yes           yes
+      Outer_code                              no        if validated  if validated
+      Unused, Outer_data, User                yes       no            no
+    v}
+
+    Secure boot, the vMMU and {!State.retype} apply it;
+    {!is_write_protected_type} and {!Invariants} audit the result
+    independently and share none of this code. *)
+
+val shielded : page_type -> validated:bool -> bool
+(** Whether the IOMMU shields a frame of the type from DMA. *)
+
+val writable : page_type -> bool
+(** The writable column: the types the outer kernel may write. *)
+
+val with_rights : page_type -> validated:bool -> Pte.t -> Pte.t
+(** The entry with RW and NX set exactly as the row says. *)
+
+val limit : t -> Addr.frame -> Pte.t -> Pte.t
+(** Cap a leaf mapping the frame at the frame's row: clear RW and set
+    NX where the row says no.  A user leaf of a [User] or [Unused]
+    frame keeps what it asked for: user pages may be executable, and
+    SMEP keeps the supervisor from running them. *)
+
 val is_write_protected_type : t -> Addr.frame -> bool
 (** Pages whose every mapping must be read-only while the outer kernel
     runs: PTPs, all nested-kernel pages, protected data, and validated

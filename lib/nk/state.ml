@@ -160,3 +160,33 @@ let register_wd t wd = Hashtbl.replace t.write_descriptors wd.wd_id wd
 
 let entry_va_of_pte ~ptp ~index =
   Addr.kva_of_pa (Page_table.entry_pa ~ptp ~index)
+
+let rec iter_ok f = function
+  | [] -> Ok ()
+  | x :: rest -> Result.bind (f x) (fun () -> iter_ok f rest)
+
+(* The shootdown runs even after a failed store, so leaves rewritten
+   before the failure do not stay cached; the occupancy probe reaches
+   every peer still holding the direct-map page. *)
+let retype t frame ?(validated = false) ty =
+  let m = t.machine in
+  let stored =
+    iter_ok
+      (fun (mp : Pgdesc.mapping) ->
+        let e = Page_table.get_entry m.Machine.mem ~ptp:mp.ptp ~index:mp.index in
+        Result.map_error
+          (fun f -> Nk_error.Hardware f)
+          (Machine.kwrite_u64 m
+             (entry_va_of_pte ~ptp:mp.ptp ~index:mp.index)
+             (Pgdesc.with_rights ty ~validated e)))
+      (Pgdesc.data_maps t.descs frame)
+  in
+  Machine.shootdown_page ~scope:(Machine.Asids []) m
+    ~vpage:(Addr.vpage (Addr.kva_of_frame frame));
+  Result.map
+    (fun () ->
+      Pgdesc.set_type t.descs frame ty;
+      Pgdesc.set_validated t.descs frame validated;
+      if Pgdesc.shielded ty ~validated then Iommu.protect_frame m.Machine.iommu frame
+      else Iommu.unprotect_frame m.Machine.iommu frame)
+    stored

@@ -126,3 +126,25 @@ val register_wd : t -> wd -> unit
 val entry_va_of_pte : ptp:Addr.frame -> index:int -> Addr.va
 (** Kernel direct-map virtual address of a page-table entry; nested
     kernel internals write PTEs through this mapping. *)
+
+val iter_ok :
+  ('a -> (unit, Nk_error.t) result) -> 'a list -> (unit, Nk_error.t) result
+(** Apply to each element in order, stopping at the first error. *)
+
+val retype :
+  t -> Addr.frame -> ?validated:bool -> Pgdesc.page_type ->
+  (unit, Nk_error.t) result
+(** Give a frame a new type and, with it, that row of the
+    page-protection table ({!Pgdesc.with_rights}); runs inside a gate.  In
+    order: store each of the frame's data mappings, in
+    {!Pgdesc.data_maps} order and through the direct map, with RW and
+    NX exactly as the new row says, stopping at the first failed store;
+    shoot the frame's direct-map page down with the occupancy scope
+    ([Machine.Asids []]), even after a failed store, so leaves rewritten
+    before the failure do not stay cached; and only if every store
+    landed, set the type, the validated bit ([validated], default
+    false) and the IOMMU shield.  The occupancy probe flushes exactly
+    the peers whose TLB still holds the direct-map page (it sees every
+    ASID and the globals); a broadcast would IPI every CPU for every
+    page-table page the outer kernel declares.  Callers keep their own
+    source-type checks, zeroing, owner marks and counters. *)

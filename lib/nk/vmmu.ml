@@ -112,9 +112,9 @@ let validate_and_adjust (st : State.t) ~level pte =
           Error (Nk_error.Wrong_level { frame = target; expected = level - 1; actual = l })
       | None -> Error (Nk_error.Not_a_ptp target)
     else begin
-      (* Leaf: downgrade according to the target page's type.  A 2 MiB
-         large page covers 512 consecutive frames — every one of them
-         must satisfy the protection rules, not just the first. *)
+      (* Leaf: capped at each covered frame's row of the protection
+         table.  A 2 MiB large page covers 512 consecutive frames —
+         every one of them caps it, not just the first. *)
       let span = if Pte.is_large pte then Addr.entries_per_table else 1 in
       if not (Phys_mem.valid_frame st.machine.Machine.mem (target + span - 1))
       then
@@ -122,21 +122,6 @@ let validate_and_adjust (st : State.t) ~level pte =
           (Nk_error.Not_declarable
              { frame = target + span - 1; why = "beyond physical memory" })
       else begin
-        let adjust_for frame pte =
-          match Pgdesc.page_type st.descs frame with
-          | Pgdesc.Ptp _ | Pgdesc.Nk_data | Pgdesc.Nk_stack
-          | Pgdesc.Protected_data ->
-              Pte.set_nx (Pte.set_writable pte false) true
-          | Pgdesc.Nk_code -> Pte.set_writable pte false
-          | Pgdesc.Outer_code ->
-              let pte = Pte.set_writable pte false in
-              if Pgdesc.is_validated st.descs frame then pte
-              else Pte.set_nx pte true
-          | Pgdesc.Outer_data -> Pte.set_nx pte true
-          | Pgdesc.User -> pte
-          | Pgdesc.Unused ->
-              if Pte.is_user pte then pte else Pte.set_nx pte true
-        in
         (* A global leaf would survive CR3 reloads and single-ASID
            (INVPCID) shootdowns — in particular the one [load_cr3_pcid]
            issues when a PCID is rebound to a different root — serving
@@ -148,7 +133,7 @@ let validate_and_adjust (st : State.t) ~level pte =
            over-permission. *)
         let adjusted = ref (Pte.set_global pte false) in
         for f = target to target + span - 1 do
-          adjusted := adjust_for f !adjusted
+          adjusted := Pgdesc.limit st.descs f !adjusted
         done;
         Ok !adjusted
       end
@@ -391,20 +376,15 @@ let defer_unmap (st : State.t) ~frame ~slot ~scope spans =
   Machine.count_ev st.machine Nktrace.Flush_deferred
 
 (* Deferral never applies to anything that could carry kernel, PTP or
-   protected mappings: only a present 4 KiB leaf over an ordinary
-   data frame, removed outright (not downgraded in place), qualifies.
-   Everything else keeps the eager shootdown. *)
+   protected mappings: only a present 4 KiB leaf over a frame the outer
+   kernel may write, removed outright (not downgraded in place),
+   qualifies.  Everything else keeps the eager shootdown. *)
 let defer_eligible (st : State.t) ~level ~old ~fresh =
   level = 1
   && Pte.is_present old
   && (not (Pte.is_present fresh))
   && (not (Pte.is_global old))
-  &&
-  match Pgdesc.page_type st.descs (Pte.frame old) with
-  | Pgdesc.User | Pgdesc.Outer_data | Pgdesc.Unused -> true
-  | Pgdesc.Ptp _ | Pgdesc.Nk_code | Pgdesc.Nk_data | Pgdesc.Nk_stack
-  | Pgdesc.Protected_data | Pgdesc.Outer_code ->
-      false
+  && Pgdesc.writable (Pgdesc.page_type st.descs (Pte.frame old))
 
 (* --- batch shootdown coalescing ----------------------------------- *)
 
@@ -513,14 +493,17 @@ let check_ptp (st : State.t) ptp =
   | Some level -> Ok level
   | None -> Error (Nk_error.Not_a_ptp ptp)
 
+(* One mediated PTE update, inside the gate. *)
+let mediate ?batch st ~ptp ~index pte =
+  let* level = check_ptp st ptp in
+  let* () = check_owner st ~op:"write_pte" ptp in
+  let* () = check_pte_targets st ~ptp ~level pte in
+  let* fresh = validate_and_adjust st ~level pte in
+  apply_update ?batch st ~ptp ~index ~level fresh
+
 let write_pte st ~ptp ~index pte =
   traced st span_write_pte (fun () ->
-      State.with_gate st (fun () ->
-          let* level = check_ptp st ptp in
-          let* () = check_owner st ~op:"write_pte" ptp in
-          let* () = check_pte_targets st ~ptp ~level pte in
-          let* fresh = validate_and_adjust st ~level pte in
-          apply_update st ~ptp ~index ~level fresh))
+      State.with_gate st (fun () -> mediate st ~ptp ~index pte))
 
 let write_pte_batch st updates =
   traced st span_write_pte_batch (fun () ->
@@ -536,14 +519,7 @@ let write_pte_batch st updates =
           let rec go i = function
             | [] -> Ok ()
             | (ptp, index, pte) :: rest -> (
-                let item =
-                  let* level = check_ptp st ptp in
-                  let* () = check_owner st ~op:"write_pte" ptp in
-                  let* () = check_pte_targets st ~ptp ~level pte in
-                  let* fresh = validate_and_adjust st ~level pte in
-                  apply_update ~batch:acc st ~ptp ~index ~level fresh
-                in
-                match item with
+                match mediate ~batch:acc st ~ptp ~index pte with
                 | Ok () -> go (i + 1) rest
                 | Error error -> Error (Nk_error.Batch_item { index = i; error }))
           in
@@ -565,10 +541,9 @@ let declare_ptp st ~level frame =
       else
         match Pgdesc.page_type st.descs frame with
         | Pgdesc.Ptp _ -> Error (Nk_error.Already_declared frame)
-        | Pgdesc.Nk_code | Pgdesc.Nk_data | Pgdesc.Nk_stack
-        | Pgdesc.Protected_data | Pgdesc.Outer_code ->
+        | ty when not (Pgdesc.writable ty) ->
             Error (Nk_error.Not_declarable { frame; why = "protected page type" })
-        | Pgdesc.Unused | Pgdesc.Outer_data | Pgdesc.User ->
+        | _ ->
             let* () = check_owner st ~op:"declare_ptp" frame in
             if Pgdesc.table_links st.descs frame <> [] then
               Error
@@ -583,46 +558,15 @@ let declare_ptp st ~level frame =
                  about-to-be PTP — flush it before protecting. *)
               flush_deferred_frame st frame;
               (* Write-protect every existing mapping (the direct-map
-                 leaf) — I5.  A failed write must abort the whole
-                 declaration: proceeding would register a PTP the
-                 outer kernel still has a writable alias to. *)
-              let rec protect = function
-                | [] -> Ok ()
-                | (mp : Pgdesc.mapping) :: rest ->
-                    let e =
-                      Page_table.get_entry m.Machine.mem ~ptp:mp.ptp
-                        ~index:mp.index
-                    in
-                    let e' = Pte.set_nx (Pte.set_writable e false) true in
-                    let* () =
-                      hw_result
-                        (Machine.kwrite_u64 m
-                           (State.entry_va_of_pte ~ptp:mp.ptp ~index:mp.index)
-                           e')
-                    in
-                    protect rest
-              in
-              let protected_ = protect (Pgdesc.data_maps st.descs frame) in
-              (* Flush even on the error path: mappings downgraded
-                 before the failing one must not stay cached writable.
-                 Occupancy-scoped, not broadcast: the only peers that
-                 need the IPI are those whose TLB still holds a (now
-                 stale-writable) translation of this direct-map page,
-                 and [Machine.shoot_peers]'s probe sees every ASID and
-                 the globals.  A peer without one refills from the
-                 already-downgraded PTE.  Broadcasting here would IPI
-                 every CPU for every page-table page the outer kernel
-                 ever declares — fork alone declares a handful. *)
-              Machine.shootdown_page ~scope:(Machine.Asids []) m
-                ~vpage:(Addr.vpage (Addr.kva_of_frame frame));
-              let* () = protected_ in
+                 leaf) — I5.  A failed store aborts the declaration:
+                 proceeding would register a PTP the outer kernel
+                 still has a writable alias to. *)
+              let* () = State.retype st frame (Pgdesc.Ptp level) in
               Phys_mem.zero_frame m.Machine.mem frame;
               Machine.charge m m.Machine.costs.Costs.page_zero;
-              Pgdesc.set_type st.descs frame (Pgdesc.Ptp level);
               (* Declaring claims the PTP for the declaring tenant. *)
               if st.State.cur_domain <> 0 && Pgdesc.owner st.descs frame = 0
               then Pgdesc.set_owner st.descs frame st.State.cur_domain;
-              Iommu.protect_frame m.Machine.iommu frame;
               Machine.count_ev m Nktrace.Declare_ptp;
               Ok ()
             end)
@@ -650,41 +594,13 @@ let remove_ptp st frame =
             Error (Nk_error.Ptp_in_use { frame; references = !present })
           else begin
             (* Hand the page back to the outer kernel: its direct-map
-               mapping becomes writable (and stays non-executable).
-               The PTE writes come first — only once they all succeed
-               may the frame lose its Ptp type and IOMMU protection,
-               or a half-removed PTP would be writable via DMA while
-               still read-only via the direct map. *)
-            let rec unprotect = function
-              | [] -> Ok ()
-              | (mp : Pgdesc.mapping) :: rest ->
-                  let e =
-                    Page_table.get_entry m.Machine.mem ~ptp:mp.ptp
-                      ~index:mp.index
-                  in
-                  let e' = Pte.set_nx (Pte.set_writable e true) true in
-                  let* () =
-                    hw_result
-                      (Machine.kwrite_u64 m
-                         (State.entry_va_of_pte ~ptp:mp.ptp ~index:mp.index)
-                         e')
-                  in
-                  unprotect rest
-            in
-            let* () = unprotect (Pgdesc.data_maps st.descs frame) in
-            Pgdesc.set_type st.descs frame Pgdesc.Unused;
+               mapping becomes writable (and stays non-executable). *)
+            let* () = State.retype st frame Pgdesc.Unused in
             (* Retiring is the release point of the declarer's claim:
                the page returns to the outer kernel's free pool, and a
                stale owner mark would deny the recycled frame to its
                next user and count as a teardown leak it is not. *)
             Pgdesc.set_owner st.descs frame 0;
-            Iommu.unprotect_frame m.Machine.iommu frame;
-            (* Occupancy-scoped, as declare_ptp now is: a parked peer
-               still holding the read-only entry would take a spurious
-               WP fault on its first write to the returned page, and
-               the occupancy probe targets exactly those peers. *)
-            Machine.shootdown_page ~scope:(Machine.Asids []) m
-              ~vpage:(Addr.vpage (Addr.kva_of_frame frame));
             Machine.count_ev m Nktrace.Remove_ptp;
             Ok ()
           end

@@ -12,19 +12,20 @@ open Nkhw
     Validation enforces the paper's invariants:
     - I4: non-leaf entries may only point at declared PTPs of the
       correct level; CR3 may only be loaded with a declared PML4;
-    - I5: any leaf mapping of a PTP (or of nested-kernel or protected
-      memory) is silently downgraded to read-only;
+    - I5 and lifetime code integrity: a leaf is capped at the row of
+      the page-protection table of every frame it covers
+      ({!Pgdesc.limit}) — mappings of PTPs, nested-kernel and
+      protected memory become read-only, validated code read-only,
+      unvalidated code and supervisor mappings of data NX;
     - I6/I7/I8: control-register updates cannot clear WP, PG, PE,
-      SMEP, NX or LME;
-    - lifetime code integrity: mappings of unvalidated code pages are
-      forced non-executable, validated kernel code is forced
-      read-only, and plain data is forced NX. *)
+      SMEP, NX or LME. *)
 
 val declare_ptp :
   State.t -> level:int -> Addr.frame -> (unit, Nk_error.t) result
 (** [nk_declare_PTP]: register a physical page for use as a page-table
-    page at the given paging level (4 = PML4).  Zeroes the page and
-    write-protects every existing mapping to it. *)
+    page at the given paging level (4 = PML4).  Write-protects every
+    existing mapping to it through {!State.retype} (a failed store
+    aborts the declaration), then zeroes the page. *)
 
 val write_pte :
   State.t -> ptp:Addr.frame -> index:int -> Pte.t -> (unit, Nk_error.t) result
@@ -72,8 +73,9 @@ val flush_domain_deferred : State.t -> int -> unit
 
 val remove_ptp : State.t -> Addr.frame -> (unit, Nk_error.t) result
 (** [nk_remove_PTP]: retire a PTP.  All 512 of its entries must be
-    clear and no table may still link it; its direct-map mapping
-    becomes writable again. *)
+    clear and no table may still link it; {!State.retype} makes its
+    direct-map mapping writable again (a failed store aborts with the
+    frame still a shielded PTP). *)
 
 val load_cr0 : State.t -> int -> (unit, Nk_error.t) result
 (** Rejected unless PE, PG and WP are all set in the new value (I7/I8). *)

@@ -28,24 +28,6 @@ let region_frames ~base ~size =
   in
   go first []
 
-let protect_frame (st : State.t) frame =
-  let m = st.machine in
-  List.iter
-    (fun (mp : Pgdesc.mapping) ->
-      match mp.kind with
-      | Pgdesc.Table_link -> ()
-      | Pgdesc.Data_map ->
-          let e = Page_table.get_entry m.Machine.mem ~ptp:mp.ptp ~index:mp.index in
-          let e' = Pte.set_nx (Pte.set_writable e false) true in
-          ignore
-            (Machine.kwrite_u64 m
-               (State.entry_va_of_pte ~ptp:mp.ptp ~index:mp.index)
-               e'))
-    (Pgdesc.mappings st.descs frame);
-  Machine.shootdown_page m ~vpage:(Addr.vpage (Addr.kva_of_frame frame));
-  Pgdesc.set_type st.descs frame Pgdesc.Protected_data;
-  Iommu.protect_frame m.Machine.iommu frame
-
 let declare st ~base ~size policy =
   State.with_gate st (fun () ->
       if not (Addr.is_kernel_va base) || size <= 0 then
@@ -65,7 +47,11 @@ let declare st ~base ~size policy =
               (Nk_error.Not_declarable
                  { frame = bad; why = "page type cannot hold protected data" })
         | None ->
-            List.iter (protect_frame st) frames;
+            let* () =
+              State.iter_ok
+                (fun f -> State.retype st f Pgdesc.Protected_data)
+                frames
+            in
             Machine.count_ev st.machine Nktrace.Nk_declare;
             Ok (fresh_wd st ~base ~size ~policy ~from_heap:false))
 

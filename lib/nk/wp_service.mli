@@ -20,8 +20,10 @@ val declare :
   (State.wd, Nk_error.t) result
 (** [nk_declare]: protect [size] bytes of existing kernel memory at
     [base].  Every page overlapping the region is retyped
-    [Protected_data], all its mappings are downgraded to read-only,
-    and its frame is shielded from DMA.  The paper's separate
+    [Protected_data] through {!State.retype}: all its mappings are
+    downgraded to read-only, and its frame is shielded from DMA.  A
+    failed direct-map store aborts with no descriptor, leaving the
+    earlier pages protected.  The paper's separate
     protected ELF section corresponds to calling this on
     dedicated pages (section 3.8); byte-granularity policies make
     co-located unprotected data workable but trap-prone. *)

@@ -36,11 +36,10 @@ let next_rand state =
 let run ?(ops = 20000) ?(rate = 0.01) ?(sites = Nkinject.all_sites)
     ?(frames = 4096) ~seed () =
   let inj = Nkinject.create ~sites ~seed ~rate () in
-  let k =
-    Os.boot ~frames ~coherence:true ~trace:true ~inject:inj Config.Perspicuos
-  in
+  let k = Os.boot ~frames ~trace:true ~inject:inj Config.Perspicuos in
   let m = k.Kernel.machine in
   let nk = Option.get k.Kernel.nk in
+  Nested_kernel.Api.Diagnostics.Coherence.enable nk;
   let p = Kernel.current_proc k in
   let completed = ref 0 and degraded = ref 0 in
   let escaped = ref 0 and escapes = ref [] in
@@ -133,8 +132,8 @@ let run ?(ops = 20000) ?(rate = 0.01) ?(sites = Nkinject.all_sites)
   (* Disarm for the final audits: they judge the state the faults left
      behind, and must not themselves be perturbed. *)
   Nkinject.set_armed inj false;
-  (* The close-out's tail (the oracle here is the raising one boot
-     installed): the drain leaves the final audit a fully settled
+  (* The close-out's tail (the oracle here is the raising one armed
+     after boot): the drain leaves the final audit a fully settled
      machine, where every lazily deferred flush must by now have been
      issued (deferred = drained), or the last batch was lost. *)
   let swept, invariant_failures = Harness.settle nk in

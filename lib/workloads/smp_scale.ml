@@ -25,13 +25,12 @@ type point = {
   audit_failures : int;
 }
 
-let run_one ?(seed = Harness.default_seed) ?(procs = 8) ?(steps = 4000)
-    ?(coherence = false) cpus =
+let run_one ?(seed = Harness.default_seed) ?(procs = 8) ?(steps = 4000) cpus =
   (* The batched vMMU backend is the whole point at scale: without it
      fork's COW downgrades go through per-PTE writes and the per-batch
      shootdown coalescer never runs at all. *)
   let k = Os.boot ~batched:true ~cpus Config.Perspicuos in
-  let h = Harness.arm ~oracle:coherence k in
+  let h = Harness.arm k in
   let sched = Sched.create k in
   let p0 = Kernel.current_proc k in
   for _ = 2 to procs do
@@ -118,9 +117,9 @@ let run_one ?(seed = Harness.default_seed) ?(procs = 8) ?(steps = 4000)
 
 let cpu_counts = [ 1; 2; 4; 8 ]
 
-let run ?seed ?procs ?steps ?coherence () =
+let run ?seed ?procs ?steps () =
   let seed = match seed with Some s -> s | None -> Harness.env_seed () in
-  List.map (fun cpus -> run_one ~seed ?procs ?steps ?coherence cpus) cpu_counts
+  List.map (fun cpus -> run_one ~seed ?procs ?steps cpus) cpu_counts
 
 let to_table points =
   {

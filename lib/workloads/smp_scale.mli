@@ -19,23 +19,19 @@ type point = {
   reuse : int;  (** deferred invalidations fired by frame reuse *)
   steals : int;  (** work-stealing events *)
   migrations : int;  (** CPU activations (executor CPU switches) *)
-  oracle_violations : int;
-      (** coherence-oracle violations (0 unless [coherence] was set) *)
+  oracle_violations : int;  (** coherence-oracle violations *)
   audit_failures : int;  (** nested-kernel invariant violations at the end *)
 }
 
-val run_one :
-  ?seed:int -> ?procs:int -> ?steps:int -> ?coherence:bool -> int -> point
+val run_one : ?seed:int -> ?procs:int -> ?steps:int -> int -> point
 (** Boot Perspicuos with that many CPUs, fork [procs] (default 8)
     processes onto the boot CPU (idle APs must steal their share),
     drive [steps] (default 4000) executor quanta of getpid + periodic
-    mmap/munmap churn.  [coherence] (default off) runs the whole sweep
-    under the differential TLB oracle — cycle-free, so the measured
-    numbers do not move — and reports violations in the point. *)
+    mmap/munmap churn, under the differential TLB oracle — cycle-free,
+    so the measured numbers do not move — reporting its violations in
+    the point. *)
 
-val run :
-  ?seed:int -> ?procs:int -> ?steps:int -> ?coherence:bool -> unit ->
-  point list
+val run : ?seed:int -> ?procs:int -> ?steps:int -> unit -> point list
 (** {!run_one} across 1, 2, 4 and 8 CPUs; seed defaults to
     {!Harness.env_seed}. *)
 

@@ -55,3 +55,19 @@ let qtest ?(count = 200) name gen prop =
 
 let outer_frame (nk : Nested_kernel.Api.t) i =
   Nested_kernel.Api.outer_first_frame nk + i
+
+(* Unmap the direct-map page holding [frame]'s own direct-map leaf, so
+   every in-gate store to that leaf faults. *)
+let break_dmap_leaf (m : Machine.t) nk frame =
+  let walk f =
+    match
+      Page_table.walk m.Machine.mem ~root:(Cr.root_frame m.Machine.cr)
+        (Addr.kva_of_frame f)
+    with
+    | Page_table.Mapped w -> w
+    | Page_table.Not_mapped _ -> Alcotest.fail "direct map must cover the frame"
+  in
+  let w = walk (walk frame).Page_table.leaf_ptp in
+  check_ok_nk "unmap the leaf's page"
+    (Nested_kernel.Api.write_pte nk ~ptp:w.Page_table.leaf_ptp
+       ~index:w.Page_table.leaf_index Pte.empty)

@@ -86,6 +86,90 @@ let test_audit_clean_after_module_cycle () =
   Helpers.check_ok "retire" (Api.retire_code nk ~frames:[ frame ]);
   Alcotest.(check bool) "audit" true (Api.audit_ok nk)
 
+(* A failed direct-map store aborts install and retire alike, and the
+   frame keeps the type, validated bit and shield it had. *)
+let expect_hardware name = function
+  | Error (Nk_error.Hardware _) -> ()
+  | Ok () -> Alcotest.failf "%s must fail when the store fails" name
+  | Error e -> Alcotest.failf "%s: wrong error: %s" name (Nk_error.to_string e)
+
+let check_code m nk f expected =
+  Alcotest.(check bool) "type" expected
+    (Pgdesc.page_type nk.State.descs f = Pgdesc.Outer_code);
+  Alcotest.(check bool) "validated" expected (Pgdesc.is_validated nk.State.descs f);
+  Alcotest.(check bool) "shielded" expected (Iommu.is_protected m.Machine.iommu f)
+
+let test_install_aborts_on_failed_store () =
+  let m, nk, falloc = setup () in
+  let frame = Frame_alloc.alloc_exn falloc in
+  Helpers.break_dmap_leaf m nk frame;
+  expect_hardware "install" (Api.install_code nk ~frames:[ frame ] benign);
+  check_code m nk frame false
+
+let test_retire_aborts_on_failed_store () =
+  let m, nk, falloc = setup () in
+  let frame = Frame_alloc.alloc_exn falloc in
+  Helpers.check_ok "install" (Api.install_code nk ~frames:[ frame ] benign);
+  Helpers.break_dmap_leaf m nk frame;
+  expect_hardware "retire" (Api.retire_code nk ~frames:[ frame ]);
+  check_code m nk frame true
+
+(* Only installed code retires.  Each frame below is refused with a
+   typed error before anything changes: its type, its DMA shield and
+   its direct-map leaf stay as they were, and the audit stays clean.
+   (The hole: the live root PML4 became writable outer data.) *)
+let dmap_leaf m f =
+  match
+    Page_table.walk m.Machine.mem ~root:(Cr.root_frame m.Machine.cr)
+      (Addr.kva_of_frame f)
+  with
+  | Page_table.Mapped w ->
+      Page_table.get_entry m.Machine.mem ~ptp:w.Page_table.leaf_ptp
+        ~index:w.Page_table.leaf_index
+  | Page_table.Not_mapped _ -> Alcotest.fail "direct map must cover the frame"
+
+let first_of_type (nk : Api.t) ty =
+  let found = ref (-1) in
+  Pgdesc.iter nk.State.descs (fun f d ->
+      if !found < 0 && d.Pgdesc.ptype = ty then found := f);
+  !found
+
+let test_retire_refuses name pick () =
+  let m, nk, falloc = setup () in
+  let f = pick nk falloc in
+  let ty = Pgdesc.page_type nk.State.descs f in
+  let shielded = Iommu.is_protected m.Machine.iommu f in
+  let leaf = dmap_leaf m f in
+  (match Api.retire_code nk ~frames:[ f ] with
+  | Error (Nk_error.Not_declarable { frame; _ }) ->
+      Alcotest.(check int) "error names the frame" f frame
+  | Ok () -> Alcotest.failf "%s retired" name
+  | Error e -> Alcotest.failf "wrong error: %s" (Nk_error.to_string e));
+  Alcotest.(check bool) "type unchanged" true
+    (Pgdesc.page_type nk.State.descs f = ty);
+  Alcotest.(check bool) "shield unchanged" shielded
+    (Iommu.is_protected m.Machine.iommu f);
+  Alcotest.(check int) "direct-map leaf unchanged" leaf (dmap_leaf m f);
+  Alcotest.(check bool) "audit clean" true (Api.audit_ok nk)
+
+let retire_refused =
+  let case name pick =
+    Alcotest.test_case ("retire refuses " ^ name) `Quick
+      (test_retire_refuses name pick)
+  in
+  [
+    case "the root PML4" (fun nk _ -> nk.State.root_pml4);
+    case "an NK stack frame" (fun nk _ -> first_of_type nk Pgdesc.Nk_stack);
+    case "the entry-gate frame" (fun nk _ ->
+        Addr.frame_of_pa (nk.State.gate.Gate.entry_va - Addr.kernbase));
+    case "a protected-heap frame" (fun nk _ ->
+        first_of_type nk Pgdesc.Protected_data);
+    case "a declared leaf PTP" (fun nk falloc ->
+        let pt = Frame_alloc.alloc_exn falloc in
+        Helpers.check_ok "declare pt" (Api.declare_ptp nk ~level:1 pt);
+        pt);
+  ]
+
 let suite =
   [
     Alcotest.test_case "validate" `Quick test_validate;
@@ -100,4 +184,9 @@ let suite =
       test_retire_while_mapped_rejected;
     Alcotest.test_case "audit clean after module cycle" `Quick
       test_audit_clean_after_module_cycle;
+    Alcotest.test_case "install aborts on a failed store" `Quick
+      test_install_aborts_on_failed_store;
+    Alcotest.test_case "retire aborts on a failed store" `Quick
+      test_retire_aborts_on_failed_store;
   ]
+  @ retire_refused

@@ -135,6 +135,35 @@ let test_flags_stale_peer_entry () =
   Alcotest.(check int) "clean after shootdown" 0
     (List.length (Api.Diagnostics.Coherence.snapshot nk))
 
+(* Violations name the CPU that holds the entry: with CPU 1 active, a
+   stale entry in CPU 0's parked TLB is CPU 0's, and one in the active
+   TLB is CPU 1's, in the full audit and the targeted check alike. *)
+let test_violation_names_the_cpu () =
+  let m, nk, f0 = setup () in
+  let smp = Smp.create m in
+  let ap = Smp.add_cpu smp in
+  let va = Addr.kva_of_frame f0 in
+  Helpers.check_ok "warm on cpu 0" (Machine.kread_u64 m va);
+  Smp.activate smp ap;
+  (match Page_table.walk m.Machine.mem ~root:(root m) va with
+  | Page_table.Mapped w ->
+      let pa =
+        Page_table.entry_pa ~ptp:w.Page_table.leaf_ptp
+          ~index:w.Page_table.leaf_index
+      in
+      let e = Phys_mem.read_u64 m.Machine.mem pa in
+      Phys_mem.write_u64 m.Machine.mem pa (Pte.set_writable e false)
+  | Page_table.Not_mapped _ -> Alcotest.fail "dmap page must be mapped");
+  let cpus vs = List.map (fun v -> v.Coherence.v_cpu) vs in
+  Alcotest.(check (list int)) "parked cpu 0 named" [ 0 ]
+    (cpus (Api.Diagnostics.Coherence.snapshot nk));
+  Tlb.insert m.Machine.tlb ~asid:(Cr.asid m.Machine.cr) ~vpage:(Addr.vpage va)
+    { Tlb.frame = f0; writable = true; user = false; nx = true; global = false };
+  Alcotest.(check (list int)) "full audit names both" [ 0; ap ]
+    (List.sort compare (cpus (Api.Diagnostics.Coherence.snapshot nk)));
+  Alcotest.(check (list int)) "targeted check names the active CPU" [ ap ]
+    (cpus (Coherence.check_va m va))
+
 let test_api_lifecycle_clean_under_oracle () =
   let m, nk, f0 = setup () in
   Api.Diagnostics.Coherence.enable nk;
@@ -219,6 +248,8 @@ let suite =
       test_enabled_oracle_raises_on_rogue_pte_write;
     Alcotest.test_case "stale parked-peer entry flagged" `Quick
       test_flags_stale_peer_entry;
+    Alcotest.test_case "violations name the CPU" `Quick
+      test_violation_names_the_cpu;
     Alcotest.test_case "API lifecycle clean under the oracle" `Quick
       test_api_lifecycle_clean_under_oracle;
     Alcotest.test_case "oracle off costs zero cycles" `Quick

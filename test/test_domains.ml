@@ -12,9 +12,14 @@ let ok = function
   | Ok v -> v
   | Error e -> Alcotest.failf "domains: %s" (Ktypes.errno_to_string e)
 
-let boot ?(cpus = 1) ?(domains = 2) ?coherence () =
-  Os.boot ~frames:4096 ~batched:true ~trace:true ~cpus ~domains ?coherence
-    Config.Perspicuos
+let boot ?(cpus = 1) ?(domains = 2) ?(coherence = false) () =
+  let k =
+    Os.boot ~frames:4096 ~batched:true ~trace:true ~cpus ~domains
+      Config.Perspicuos
+  in
+  if coherence then
+    Nested_kernel.Api.Diagnostics.Coherence.enable (Option.get k.Kernel.nk);
+  k
 
 (* Everything a tenant's lifetime may consume: the free-frame bitmap,
    and each surviving process's fd numbers, pid-ordered.  Rendered as

@@ -208,10 +208,9 @@ let prop_fuzzing_under_injection =
          degradation means no exception ever escapes an op and the
          oracle and invariant audit both stay silent. *)
       let inj = Nkinject.create ~seed ~rate:0.05 () in
-      let k =
-        Os.boot ~frames:4096 ~coherence:true ~inject:inj Config.Perspicuos
-      in
+      let k = Os.boot ~frames:4096 ~inject:inj Config.Perspicuos in
       let nk = Option.get k.Kernel.nk in
+      Nested_kernel.Api.Diagnostics.Coherence.enable nk;
       let f0 = Frame_alloc.first_frame k.Kernel.falloc + 400 in
       let descriptors = ref [||] in
       let escaped = ref 0 and violations = ref 0 in

@@ -3,8 +3,11 @@
    executor driving it all. *)
 open Outer_kernel
 
-let boot ?(cpus = 2) ?coherence () =
-  Os.boot ~frames:4096 ?coherence ~cpus Config.Perspicuos
+let boot ?(cpus = 2) ?(coherence = false) () =
+  let k = Os.boot ~frames:4096 ~cpus Config.Perspicuos in
+  if coherence then
+    Nested_kernel.Api.Diagnostics.Coherence.enable (Option.get k.Kernel.nk);
+  k
 
 let fork1 k =
   match Syscalls.fork k (Kernel.current_proc k) with

@@ -6,8 +6,11 @@ open Outer_kernel
 
 let page = Addr.page_size
 
-let boot ?(cpus = 1) ?coherence () =
-  Os.boot ~frames:4096 ?coherence ~cpus Config.Perspicuos
+let boot ?(cpus = 1) ?(coherence = false) () =
+  let k = Os.boot ~frames:4096 ~cpus Config.Perspicuos in
+  if coherence then
+    Nested_kernel.Api.Diagnostics.Coherence.enable (Option.get k.Kernel.nk);
+  k
 
 let fork1 k =
   match Syscalls.fork k (Kernel.current_proc k) with
@@ -25,7 +28,7 @@ let mmap_ok k p ~pages ~populate =
 let test_smp_scale_steals () =
   List.iter
     (fun cpus ->
-      let p = Nk_workloads.Smp_scale.run_one ~coherence:true cpus in
+      let p = Nk_workloads.Smp_scale.run_one cpus in
       Alcotest.(check bool)
         (Printf.sprintf "steals exercised at %d vCPUs" cpus)
         true

@@ -304,6 +304,26 @@ let linked_pd nk m f0 =
     (Api.write_pte nk ~ptp:f0 ~index:0 (Pte.make ~frame:(f0 + 1) Pte.user_rw_nx));
   f0 + 1
 
+(* A supervisor leaf of a User frame is capped NX: user pages may be
+   executable, but a writable+executable kernel alias of one is
+   exactly what lifetime code integrity forbids. *)
+let test_supervisor_leaf_of_user_frame_nx () =
+  let m, nk, f0 = setup () in
+  let pd = linked_pd nk m f0 in
+  let pt = f0 + 2 and data = f0 + 3 in
+  declare_ok nk ~level:1 pt;
+  Helpers.check_ok_nk "link pd->pt"
+    (Api.write_pte nk ~ptp:pd ~index:0 (Pte.make ~frame:pt Pte.user_rw_nx));
+  Helpers.check_ok_nk "user leaf"
+    (Api.write_pte nk ~ptp:pt ~index:0 (Pte.make ~frame:data Pte.user_rw_nx));
+  Alcotest.(check bool) "typed User" true
+    (Pgdesc.page_type nk.State.descs data = Pgdesc.User);
+  Helpers.check_ok_nk "supervisor leaf"
+    (Api.write_pte nk ~ptp:pt ~index:1 (Pte.make ~frame:data Pte.kernel_rw));
+  let e = Page_table.get_entry m.Machine.mem ~ptp:pt ~index:1 in
+  Alcotest.(check bool) "installed NX" true (Pte.is_nx e);
+  Alcotest.(check bool) "audit clean" true (Api.audit_ok nk)
+
 let test_large_leaf_downgrade_flushes_span () =
   let m, nk, f0 = setup () in
   let pd = linked_pd nk m f0 in
@@ -500,4 +520,6 @@ let suite =
       test_declare_aborts_on_failed_write_protect;
     Alcotest.test_case "remove aborts on failed unprotect" `Quick
       test_remove_aborts_on_failed_unprotect;
+    Alcotest.test_case "supervisor leaf of a user frame is NX" `Quick
+      test_supervisor_leaf_of_user_frame_nx;
   ]

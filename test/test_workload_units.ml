@@ -170,7 +170,7 @@ let test_smp_scale_gates () =
 
 let test_smp_scale_gates_real_sweep () =
   Alcotest.(check (list string)) "a short real sweep passes" []
-    (Smp_scale.check (Smp_scale.run ~seed:42 ~steps:400 ~coherence:true ()))
+    (Smp_scale.check (Smp_scale.run ~seed:42 ~steps:400 ()))
 
 let test_server_scale_gates () =
   let point config conns : Server_scale.point =

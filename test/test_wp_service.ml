@@ -105,6 +105,22 @@ let test_declare_rejects_bad_regions () =
   Helpers.expect_error "nk-owned page"
     (Api.nk_declare nk ~base:(Addr.kva_of_frame 1) ~size:16 Policy.unrestricted)
 
+(* A failed direct-map store aborts nk_declare: no descriptor, and the
+   page is neither retyped nor shielded. *)
+let test_declare_aborts_on_failed_store () =
+  let m, nk = setup () in
+  let f = Api.outer_first_frame nk + 5 in
+  Helpers.break_dmap_leaf m nk f;
+  (match
+     Api.nk_declare nk ~base:(Addr.kva_of_frame f) ~size:64 Policy.unrestricted
+   with
+  | Error (Nk_error.Hardware _) -> ()
+  | Ok _ -> Alcotest.fail "declare must fail when the store fails"
+  | Error e -> Alcotest.failf "wrong error: %s" (Nk_error.to_string e));
+  Alcotest.(check bool) "not retyped" false
+    (Pgdesc.page_type nk.State.descs f = Pgdesc.Protected_data);
+  Alcotest.(check bool) "not shielded" false (Iommu.is_protected m.Machine.iommu f)
+
 let test_exhaustion () =
   let _, nk = setup () in
   match Api.nk_alloc nk ~size:(512 * Addr.page_size) Policy.unrestricted with
@@ -147,6 +163,8 @@ let suite =
       test_declare_protects_kernel_memory;
     Alcotest.test_case "nk_declare rejections" `Quick
       test_declare_rejects_bad_regions;
+    Alcotest.test_case "nk_declare aborts on a failed store" `Quick
+      test_declare_aborts_on_failed_store;
     Alcotest.test_case "heap exhaustion" `Quick test_exhaustion;
     prop_mediated_writes_roundtrip;
   ]
