@@ -34,6 +34,7 @@ type t = {
   mutable res_memo_cpu : int;
   mutable shoot_targets : int array;
   mutable shoot_ntargets : int;
+  mutable word_hi : Addr.pa;
   mmu_fault : Fault.t ref;
   msrs : (int, int) Hashtbl.t;
   mutable idtr : Addr.va option;
@@ -73,6 +74,7 @@ let create ?(frames = 8192) ?(costs = Costs.default) () =
     res_memo_cpu = -1;
     shoot_targets = Array.make 8 0;
     shoot_ntargets = 0;
+    word_hi = 0;
     mmu_fault = ref Mmu.fault_none;
     idtr = None;
     pending_interrupts = [];
@@ -199,24 +201,39 @@ let write_u8 t ~ring va v =
   if r >= 0 then Ok (Phys_mem.write_u8 t.mem (r lsr 1) v)
   else Error !(t.mmu_fault)
 
-(* A word access that straddles a page boundary must check both pages;
-   negative results propagate the fault left in [t.mmu_fault]. *)
+let in_page va = Addr.page_offset va <= Addr.page_size - 8
+
+(* A word access that straddles a page boundary must check both pages,
+   and its bytes past the boundary belong to the frame the second page
+   maps, not to the frame physically after the first: a straddling
+   word leaves that page's PA in [word_hi] for [load_word]/[store_word].
+   Negative results propagate the fault left in [t.mmu_fault]. *)
 let word_pa_fast t ~ring ~kind va =
   let r = translate_fast t ~ring ~kind va in
-  if r < 0 then r
-  else if Addr.page_offset va <= Addr.page_size - 8 then r
+  if r < 0 || in_page va then r
   else
     let r2 = translate_fast t ~ring ~kind (Addr.align_up (va + 1)) in
-    if r2 < 0 then r2 else r
+    if r2 < 0 then r2
+    else begin
+      t.word_hi <- r2 lsr 1;
+      r
+    end
+
+let load_word t va r =
+  if in_page va then Phys_mem.read_u64 t.mem (r lsr 1)
+  else Phys_mem.read_u64_split t.mem (r lsr 1) ~hi:t.word_hi
+
+let store_word t va r v =
+  if in_page va then Phys_mem.write_u64 t.mem (r lsr 1) v
+  else Phys_mem.write_u64_split t.mem (r lsr 1) ~hi:t.word_hi v
 
 let read_u64 t ~ring va =
   let r = word_pa_fast t ~ring ~kind:Fault.Read va in
-  if r >= 0 then Ok (Phys_mem.read_u64 t.mem (r lsr 1)) else Error !(t.mmu_fault)
+  if r >= 0 then Ok (load_word t va r) else Error !(t.mmu_fault)
 
 let write_u64 t ~ring va v =
   let r = word_pa_fast t ~ring ~kind:Fault.Write va in
-  if r >= 0 then Ok (Phys_mem.write_u64 t.mem (r lsr 1) v)
-  else Error !(t.mmu_fault)
+  if r >= 0 then Ok (store_word t va r v) else Error !(t.mmu_fault)
 
 let ( let* ) = Result.bind
 
@@ -263,7 +280,7 @@ let kread_u64 t va = read_u64 t ~ring:Mmu.Supervisor va
    Dispatch-path lookups (e.g. the syscall table) read through this. *)
 let kread_word t va =
   let r = word_pa_fast t ~ring:Mmu.Supervisor ~kind:Fault.Read va in
-  if r >= 0 then Phys_mem.read_u64 t.mem (r lsr 1) else -1
+  if r >= 0 then load_word t va r else -1
 let kwrite_u64 t va v = write_u64 t ~ring:Mmu.Supervisor va v
 let kread_bytes t va len = read_bytes t ~ring:Mmu.Supervisor va len
 let kwrite_bytes t va b = write_bytes t ~ring:Mmu.Supervisor va b

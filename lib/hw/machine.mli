@@ -69,6 +69,9 @@ type t = {
           progress — valid in [0 .. shoot_ntargets-1] when the notify
           hook fires; reused across shootdowns so none allocates *)
   mutable shoot_ntargets : int;
+  mutable word_hi : Addr.pa;
+      (** scratch: the PA of the second page a page-straddling word
+          access translated, where its bytes past the boundary go *)
   mmu_fault : Fault.t ref;
       (** fault cell the packed translation path writes through; holds
           the cause of the most recent failed packed translation *)

@@ -1,9 +1,12 @@
 (** Physical memory: an array of 4 KiB page frames.
 
     All accessors take raw physical addresses and perform no permission
-    checking — this is DRAM, not the MMU.  Multi-byte accesses may cross
-    page boundaries.  Words are stored little-endian; the machine's word
-    values always fit in 62 bits, so reads return non-negative ints. *)
+    checking — this is DRAM, not the MMU.  Every accessor but
+    {!read_table_word} raises [Invalid_argument] naming [Phys_mem] on
+    an address outside memory.  Multi-byte accesses may cross page
+    boundaries.  Words are stored little-endian; the machine's word
+    values always fit in 62 bits, so reads return non-negative ints.
+    Host memory is taken only for what the run stores into. *)
 
 type t
 
@@ -30,6 +33,16 @@ val writes : t -> int
     it is unchanged, no byte of memory (hence no PTE) has changed. *)
 
 val write_u64 : t -> Addr.pa -> int -> unit
+
+val read_u64_split : t -> Addr.pa -> hi:Addr.pa -> int
+(** [read_u64_split t pa ~hi] reads a page-straddling word whose bytes
+    past [pa]'s page boundary start at [hi] instead of the next
+    physical page: the word a virtual access spanning two pages that
+    map unrelated frames sees.  [pa] must lie within the last 7 bytes
+    of its page; the value is encoded as a straddling {!read_u64}'s. *)
+
+val write_u64_split : t -> Addr.pa -> hi:Addr.pa -> int -> unit
+(** The store counterpart of {!read_u64_split}. *)
 
 val read_bytes : t -> Addr.pa -> int -> bytes
 val write_bytes : t -> Addr.pa -> bytes -> unit

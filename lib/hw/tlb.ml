@@ -123,15 +123,21 @@ type t = {
 
 let mk_keys n = Array.make n (-1)
 
+(* Initial (asid, vpage) capacity.  Small, because capacity never
+   evicts: [insert_packed] doubles the table at half load, so a TLB
+   that caches little (every one the model checker boots) stays cheap
+   to create, and one that caches a lot grows to fit. *)
+let init_slots = 64
+
 let create ?(epoch_limit = max_int) () =
   {
-    keys = mk_keys 2048;
-    vals = Array.make 2048 0;
-    eps = Array.make 2048 0;
-    gns = Array.make 2048 0;
-    mask = 2047;
+    keys = mk_keys init_slots;
+    vals = Array.make init_slots 0;
+    eps = Array.make init_slots 0;
+    gns = Array.make init_slots 0;
+    mask = init_slots - 1;
     used = 0;
-    occ = Array.make 2048 0;
+    occ = Array.make init_slots 0;
     nocc = 0;
     nkeyed = Array.make (index_mask + 1) 0;
     gkeys = mk_keys 128;

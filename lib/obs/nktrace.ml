@@ -330,12 +330,13 @@ let k_end = 2 (* code = span id, arg = duration *)
 let k_mark = 3 (* code = interned string id *)
 
 type t = {
-  r_seq : int array;
-  r_cycles : int array;
-  r_cpu : int array;
-  r_kind : int array;
-  r_code : int array;
-  r_arg : int array;
+  ring_capacity : int;
+  mutable r_seq : int array; (* the six planes: empty until [enable] *)
+  mutable r_cycles : int array;
+  mutable r_cpu : int array;
+  mutable r_kind : int array;
+  mutable r_code : int array;
+  mutable r_arg : int array;
   mutable head : int; (* next write position *)
   mutable filled : int; (* live records in the ring *)
   mutable dropped : int;
@@ -356,14 +357,14 @@ type t = {
 }
 
 let create ?(ring_capacity = 4096) ?(hist_capacity = 1024) () =
-  let cap = max 1 ring_capacity in
   {
-    r_seq = Array.make cap 0;
-    r_cycles = Array.make cap 0;
-    r_cpu = Array.make cap 0;
-    r_kind = Array.make cap 0;
-    r_code = Array.make cap 0;
-    r_arg = Array.make cap 0;
+    ring_capacity = max 1 ring_capacity;
+    r_seq = [||];
+    r_cycles = [||];
+    r_cpu = [||];
+    r_kind = [||];
+    r_code = [||];
+    r_arg = [||];
     head = 0;
     filled = 0;
     dropped = 0;
@@ -385,7 +386,21 @@ let create ?(ring_capacity = 4096) ?(hist_capacity = 1024) () =
 
 let set_now t f = t.now <- f
 let set_cpu t cpu = t.cpu <- cpu
-let enable t = t.enabled <- true
+
+(* Most tracers are never enabled (every machine has one), so the ring
+   is allocated at the first [enable]; [push] only runs while enabled. *)
+let enable t =
+  if Array.length t.r_kind = 0 then begin
+    let plane () = Array.make t.ring_capacity 0 in
+    t.r_seq <- plane ();
+    t.r_cycles <- plane ();
+    t.r_cpu <- plane ();
+    t.r_kind <- plane ();
+    t.r_code <- plane ();
+    t.r_arg <- plane ()
+  end;
+  t.enabled <- true
+
 let disable t = t.enabled <- false
 let enabled t = t.enabled
 

@@ -172,9 +172,10 @@ type t
 
 val create : ?ring_capacity:int -> ?hist_capacity:int -> unit -> t
 (** A disabled tracer.  [ring_capacity] bounds the event ring (default
-    4096; oldest records are overwritten and counted as dropped);
-    [hist_capacity] bounds each histogram's sample reservoir (default
-    1024). *)
+    4096; oldest records are overwritten and counted as dropped), which
+    is allocated at the first {!enable}: a tracer never enabled holds
+    no ring.  [hist_capacity] bounds each histogram's sample reservoir
+    (default 1024). *)
 
 val set_now : t -> (unit -> int) -> unit
 (** Install the cycle source used to stamp records and time spans. *)

@@ -26,6 +26,61 @@ let test_word_straddling_pages_checks_both () =
   Helpers.check_ok "word fully inside the writable page"
     (Machine.kwrite_u64 m (boundary - 8) 0xFFFF)
 
+(* VA 0x10000 -> frame 40 and 0x11000 -> frame 50, both writable; frame
+   41, physically after 40, is mapped read-only only.  A word straddling
+   the two writable pages must put its high bytes in frame 50. *)
+let test_word_straddle_splits_at_page () =
+  let m = Machine.create ~frames:64 () in
+  let mem = m.Machine.mem in
+  let next = ref 1 in
+  let alloc_ptp () =
+    let f = !next in
+    incr next;
+    f
+  in
+  let root = alloc_ptp () in
+  let map va frame flags =
+    Pt_builder.map_page mem ~root ~alloc_ptp va (Pte.make ~frame flags)
+  in
+  map 0x10000 40 Pte.kernel_rw;
+  map 0x11000 50 Pte.kernel_rw;
+  map 0x12000 41 Pte.kernel_ro;
+  let cr = m.Machine.cr in
+  cr.Cr.cr3 <- Addr.pa_of_frame root;
+  cr.Cr.cr0 <- Cr.cr0_pe lor Cr.cr0_pg lor Cr.cr0_wp;
+  cr.Cr.cr4 <- Cr.cr4_pae;
+  cr.Cr.efer <- Cr.efer_lme lor Cr.efer_nx;
+  let byte f i = Phys_mem.read_u8 mem ((f * 4096) + i) in
+  Helpers.check_ok "straddling store"
+    (Machine.kwrite_u64 m 0x10ffc 0x1122334455667788);
+  Alcotest.(check (list int)) "frame 40 holds bytes 0..3" [ 0x88; 0x77; 0x66; 0x55 ]
+    (List.init 4 (fun i -> byte 40 (0xffc + i)));
+  Alcotest.(check (list int)) "frame 50 holds bytes 4..7" [ 0x44; 0x33; 0x22; 0x11 ]
+    (List.init 4 (byte 50));
+  Alcotest.(check (list int)) "read-only frame 41 untouched" [ 0; 0; 0; 0 ]
+    (List.init 4 (byte 41));
+  Alcotest.(check (result int Helpers.fault)) "straddling read"
+    (Ok 0x1122334455667788) (Machine.kread_u64 m 0x10ffc);
+  Alcotest.(check int) "packed straddling read" 0x1122334455667788
+    (Machine.kread_word m 0x10ffc)
+
+(* Booting pays for the memory a run stores into, not for its size:
+   [tenants] boots 32768 frames (128 MiB of simulated DRAM). *)
+let test_create_pays_for_touched_memory () =
+  let major () =
+    let _, _, w = Gc.counters () in
+    w
+  in
+  let w0 = major () in
+  let m = Machine.create ~frames:32768 () in
+  let words = major () -. w0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "create adds %.0f major words, under 1M" words)
+    true (words < 1e6);
+  let snap = Nktrace.snapshot m.Machine.trace in
+  Alcotest.(check int) "a never-enabled tracer holds no events" 0
+    (List.length snap.Nktrace.events + snap.Nktrace.dropped)
+
 let test_bulk_write_partial_fault () =
   let m, nk = booted () in
   let f_rw = Nested_kernel.Api.outer_first_frame nk in
@@ -90,6 +145,10 @@ let suite =
   [
     Alcotest.test_case "word straddling pages" `Quick
       test_word_straddling_pages_checks_both;
+    Alcotest.test_case "straddling word splits at the page boundary" `Quick
+      test_word_straddle_splits_at_page;
+    Alcotest.test_case "create pays for touched memory only" `Quick
+      test_create_pays_for_touched_memory;
     Alcotest.test_case "bulk write partial fault" `Quick
       test_bulk_write_partial_fault;
     Alcotest.test_case "ring checks on reads" `Quick test_read_vs_write_rings;

@@ -134,8 +134,16 @@ let test_registry_pinned () =
       Alcotest.(check string) name name (Nktrace.counter_name c))
     registry
 
-let test_ring_overwrite () =
+(* [late]: the tracer counts while disabled first, so it holds no
+   ring, and gets one at its first [enable]. *)
+let test_ring_overwrite ~late () =
   let t = Nktrace.create ~ring_capacity:4 () in
+  if late then begin
+    Nktrace.count_n t Nktrace.Pte_write 0;
+    let snap = Nktrace.snapshot t in
+    Alcotest.(check int) "no ring before enable" 0
+      (List.length snap.Nktrace.events + snap.Nktrace.dropped)
+  end;
   Nktrace.enable t;
   for i = 1 to 10 do
     Nktrace.count_n t Nktrace.Pte_write i
@@ -526,7 +534,9 @@ let suite =
     Alcotest.test_case "typed counters" `Quick test_counters;
     Alcotest.test_case "counter registry pinned" `Quick test_registry_pinned;
     Alcotest.test_case "ring overwrite and dropped accounting" `Quick
-      test_ring_overwrite;
+      (test_ring_overwrite ~late:false);
+    Alcotest.test_case "ring allocated at first enable overwrites alike" `Quick
+      (test_ring_overwrite ~late:true);
     Alcotest.test_case "exact percentiles" `Quick test_percentiles;
     Alcotest.test_case "bounded reservoir keeps global stats" `Quick
       test_reservoir_bounded;
