@@ -521,36 +521,14 @@ let fingerprint (u : u) : fp =
     fp_list !h
       (fun h (s, d, ws) -> fp_list (fp_mix (fp_mix h s) d) fp_mix ws)
       (List.sort compare pipes);
-  mix st.State.deferred_count;
-  let defer =
-    Hashtbl.fold
-      (fun f recs acc ->
-        ( f,
-          List.sort compare
-            (List.map
-               (fun (r : State.pending_flush) ->
-                 ( r.State.pf_frame,
-                   r.State.pf_slot,
-                   r.State.pf_scope,
-                   r.State.pf_spans,
-                   r.State.pf_domain ))
-               recs) )
-        :: acc)
-      st.State.deferred_frames []
-  in
   h :=
     fp_list !h
-      (fun h (f, recs) ->
-        fp_list (fp_mix h f)
-          (fun h (pf, (sp, si), scope, spans, dom) ->
-            let h = fp_mix (fp_mix (fp_mix h pf) sp) si in
-            let h = fp_scope h scope in
-            let h = fp_mix h dom in
-            fp_list h (fun h (v, n) -> fp_mix (fp_mix h v) n) spans)
-          recs)
-      (List.sort compare defer);
-  let slots = Hashtbl.fold (fun (p, i) f acc -> (p, i, f) :: acc) st.State.deferred_slots [] in
-  h := fp_list !h (fun h (p, i, f) -> fp_mix (fp_mix (fp_mix h p) i) f) (List.sort compare slots);
+      (fun h (r : State.pending_flush) ->
+        let sp, si = r.State.pf_slot in
+        let h = fp_mix (fp_mix (fp_mix h r.State.pf_frame) sp) si in
+        let h = fp_mix (fp_scope h r.State.pf_scope) r.State.pf_domain in
+        fp_list h (fun h (v, n) -> fp_mix (fp_mix h v) n) r.State.pf_spans)
+      (List.sort compare st.State.deferred);
   h := fp_bool !h st.State.lock_held;
   mix u.inj_mode;
   !h
@@ -578,18 +556,19 @@ let step_checks u =
     if not (Cr.wp_enabled (Smp.ctx u.smp id).Smp.cr) then
       add (Printf.sprintf "wp-isolation: CPU %d has CR0.WP clear outside the gate" id)
   done;
-  (* Deferred-queue bookkeeping must stay internally consistent. *)
-  let live = Hashtbl.fold (fun _ rs n -> n + List.length rs) st.State.deferred_frames 0 in
-  if live <> st.State.deferred_count then
-    add
-      (Printf.sprintf "deferred: count %d but %d records queued" st.State.deferred_count
-         live);
-  Hashtbl.iter
-    (fun (p, i) f ->
-      match Hashtbl.find_opt st.State.deferred_frames f with
-      | Some recs when List.exists (fun r -> r.State.pf_slot = (p, i)) recs -> ()
-      | _ -> add (Printf.sprintf "deferred: slot (%d,%d) points at frame %d with no record" p i f))
-    st.State.deferred_slots;
+  (* The slot barrier's premise: every install through a slot flushes
+     the record queued there before an unmap can queue another, so no
+     two pending records share a slot. *)
+  let rec shared = function
+    | (p, i) :: ((p', i') :: _ as rest) ->
+        if p = p' && i = i' then
+          add (Printf.sprintf "deferred: two records queued through slot (%d,%d)" p i);
+        shared rest
+    | _ -> ()
+  in
+  shared
+    (List.sort compare
+       (List.map (fun (r : State.pending_flush) -> r.State.pf_slot) st.State.deferred));
   !fails
 
 (* Destructive end-of-sequence check: drain the lazy unmap queue, then

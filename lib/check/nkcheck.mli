@@ -8,8 +8,9 @@
     authority switches, cross-domain writes against the ownership
     lattice, domain-marked deferred unmaps, the inter-tenant pipe, and
     victim teardown — over a tiny two-CPU universe, checking
-    invariants I1–I14 ({!Nested_kernel.Invariants}) and the
-    differential TLB-coherence oracle ({!Nkhw.Coherence}) after every
+    invariants I1–I14 ({!Nested_kernel.Invariants}), the differential
+    TLB-coherence oracle ({!Nkhw.Coherence}) and the deferred queue's
+    slot property (no two pending records share a slot) after every
     step, plus a destructive drain-then-re-audit shutdown check on
     every newly reached state.
 

@@ -88,9 +88,10 @@ let native (m : Machine.t) =
     in
     match scan 4 root 0 with () -> None | exception Found b -> Some b
   in
-  (* The base vpage [ptp] translates from, if it is a live level-1
-     table.  Host-side bookkeeping only — a real native kernel knows
-     the VA of its own PTE writes for free, so no cycles are charged. *)
+  (* The root and base vpage [ptp] translates from, if it is a live
+     level-1 table.  Host-side bookkeeping only — a real native kernel
+     knows the VA of its own PTE writes for free, so no cycles are
+     charged. *)
   let locate_leaf_table ptp =
     let roots =
       let live =
@@ -102,8 +103,9 @@ let native (m : Machine.t) =
       |> List.sort_uniq compare
     in
     match Hashtbl.find_opt pt_bases ptp with
-    | Some (root, base) when List.mem root roots && verify root ptp base ->
-        Some base
+    | Some (root, base) as found
+      when List.mem root roots && verify root ptp base ->
+        found
     | _ -> (
         let rec try_roots = function
           | [] ->
@@ -113,7 +115,7 @@ let native (m : Machine.t) =
               match find_pt_base r ptp with
               | Some base ->
                   Hashtbl.replace pt_bases ptp (r, base);
-                  Some base
+                  Some (r, base)
               | None -> try_roots rest)
         in
         try_roots roots)
@@ -165,16 +167,12 @@ let native (m : Machine.t) =
          tree's root; the machine's occupancy backstop keeps a parked
          peer that demonstrably still holds the entry targeted. *)
       match locate_leaf_table ptp with
-      | Some base ->
+      | Some (root, base) ->
           let scope =
-            match Hashtbl.find_opt pt_bases ptp with
-            | Some (root, _) ->
-                Machine.Asids
-                  (Hashtbl.fold
-                     (fun pcid bound acc ->
-                       if bound = root then pcid :: acc else acc)
-                     pcid_roots [])
-            | None -> Machine.Broadcast
+            Machine.Asids
+              (Hashtbl.fold
+                 (fun pcid bound acc -> if bound = root then pcid :: acc else acc)
+                 pcid_roots [])
           in
           Machine.shootdown_page ~scope m ~vpage:(base + index)
       | None -> Machine.shootdown_all m

@@ -205,15 +205,8 @@ let request_shootdown (st : State.t) scope =
           (* A CPU-pinned scope is the vMMU's own internal audience
              snapshot; a tenant proposing one is by construction trying
              to pick which peers get flushed — denied outright. *)
-          State.count_denial ~op:"shootdown" st;
-          Error
-            (Nk_error.Cross_domain
-               {
-                 domain = st.State.cur_domain;
-                 owner = 0;
-                 frame = 0;
-                 op = "pin shootdown cpuset";
-               })
+          State.cross_domain ~mark:"shootdown" st ~owner:0 ~frame:0
+            "pin shootdown cpuset"
       | Machine.Cpuset _ ->
           (* Host housekeeping: over-approximate to a full broadcast
              rather than trusting the mask against future residency. *)
@@ -243,15 +236,8 @@ let request_shootdown (st : State.t) scope =
             in
             match shrunk with
             | Some (root, owner) ->
-                State.count_denial ~op:"shootdown" st;
-                Error
-                  (Nk_error.Cross_domain
-                     {
-                       domain = st.State.cur_domain;
-                       owner;
-                       frame = root;
-                       op = "shrink shootdown scope";
-                     })
+                State.cross_domain ~mark:"shootdown" st ~owner ~frame:root
+                  "shrink shootdown scope"
             | None ->
                 let* () =
                   List.fold_left
@@ -261,15 +247,9 @@ let request_shootdown (st : State.t) scope =
                       | Some root
                         when not (State.owner_ok st (Pgdesc.owner st.descs root))
                         ->
-                          State.count_denial ~op:"shootdown" st;
-                          Error
-                            (Nk_error.Cross_domain
-                               {
-                                 domain = st.State.cur_domain;
-                                 owner = Pgdesc.owner st.descs root;
-                                 frame = root;
-                                 op = "shootdown peer asid";
-                               })
+                          State.cross_domain ~mark:"shootdown" st
+                            ~owner:(Pgdesc.owner st.descs root) ~frame:root
+                            "shootdown peer asid"
                       | _ -> Ok ())
                     (Ok ()) asids
                 in

@@ -137,9 +137,7 @@ let boot ?layout (m : Machine.t) =
           (let h = Hashtbl.create 8 in
            Hashtbl.replace h 0 root;
            h);
-        deferred_frames = Hashtbl.create 64;
-        deferred_slots = Hashtbl.create 64;
-        deferred_count = 0;
+        deferred = [];
         next_wd_id = 1;
         lock_held = false;
         denied_writes = 0;

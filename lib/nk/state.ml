@@ -55,9 +55,7 @@ type t = {
   nk_frame_count : int;
   write_descriptors : (int, wd) Hashtbl.t;
   pcid_roots : (int, Addr.frame) Hashtbl.t;
-  deferred_frames : (Addr.frame, pending_flush list) Hashtbl.t;
-  deferred_slots : (Addr.frame * int, Addr.frame) Hashtbl.t;
-  mutable deferred_count : int;
+  mutable deferred : pending_flush list;
   mutable next_wd_id : int;
   mutable lock_held : bool;
   mutable denied_writes : int;
@@ -103,6 +101,11 @@ let count_denial ?op t =
   | Some op when Nktrace.enabled tr -> Nktrace.mark tr ("xdom_denied_" ^ op)
   | _ -> ()
 
+let cross_domain ?mark ?domain t ~owner ~frame op =
+  count_denial ~op:(Option.value mark ~default:op) t;
+  let domain = Option.value domain ~default:t.cur_domain in
+  Error (Nk_error.Cross_domain { domain; owner; frame; op })
+
 let is_nk_frame t f =
   f >= t.nk_first_frame && f < t.nk_first_frame + t.nk_frame_count
 
@@ -143,18 +146,13 @@ let with_gate t body =
    and the vpage must fall inside one of its recorded spans.  The
    coherence oracle's [deferred] exemption is exactly this predicate. *)
 let is_deferred t ~vpage (e : Tlb.entry) =
-  Hashtbl.length t.deferred_frames > 0
-  && (match Hashtbl.find_opt t.deferred_frames e.Tlb.frame with
-     | None -> false
-     | Some recs ->
-         List.exists
-           (fun r ->
-             List.exists
-               (fun (vp, n) -> vpage >= vp && vpage < vp + n)
-               r.pf_spans)
-           recs)
+  List.exists
+    (fun r ->
+      r.pf_frame = e.Tlb.frame
+      && List.exists (fun (vp, n) -> vpage >= vp && vpage < vp + n) r.pf_spans)
+    t.deferred
 
-let deferred_live t = t.deferred_count
+let deferred_live t = List.length t.deferred
 
 let register_wd t wd = Hashtbl.replace t.write_descriptors wd.wd_id wd
 

@@ -63,13 +63,11 @@ type t = {
   pcid_roots : (int, Addr.frame) Hashtbl.t;
       (** last root loaded under each PCID; a tagged switch back to the
           same (pcid, root) pair needs no TLB flush *)
-  deferred_frames : (Addr.frame, pending_flush list) Hashtbl.t;
-      (** frame -> its pending lazy invalidations ({!Vmmu} maintains
-          this; flushed before the frame can be reused) *)
-  deferred_slots : (Addr.frame * int, Addr.frame) Hashtbl.t;
-      (** (ptp, index) -> unmapped frame, so re-installing a leaf
-          through the same slot triggers the pending flush *)
-  mutable deferred_count : int;  (** live [pending_flush] records *)
+  mutable deferred : pending_flush list;
+      (** pending lazy invalidations, newest first, at most 128
+          ({!Vmmu} maintains it).  No two records share a slot: an
+          unmap needs a present entry, and every install through a
+          slot first flushes the record queued there. *)
   mutable next_wd_id : int;
   mutable lock_held : bool;
   mutable denied_writes : int;
@@ -105,6 +103,14 @@ val count_denial : ?op:string -> t -> unit
     [dom_denials], the {!Nktrace.Xdom_denied} counter and, while
     tracing, an [xdom_denied_<op>] ring mark naming the operation. *)
 
+val cross_domain :
+  ?mark:string -> ?domain:int -> t -> owner:int -> frame:Addr.frame ->
+  string -> ('a, Nk_error.t) result
+(** Deny [op] for crossing the ownership lattice: {!count_denial} with
+    the ring mark [mark] (default [op]), then the [Cross_domain] error
+    naming [domain] (default the current domain), [owner], [frame] and
+    [op]. *)
+
 val with_gate :
   t -> (unit -> ('a, Nk_error.t) result) -> ('a, Nk_error.t) result
 (** Run a nested-kernel operation body between an entry-gate and
@@ -116,7 +122,7 @@ val is_deferred : t -> vpage:int -> Tlb.entry -> bool
 (** Is this cached translation one of the declared, tolerated stale
     entries — the cached frame matches a pending lazy invalidation and
     the vpage falls inside one of its spans?  The coherence oracle's
-    [deferred] exemption; O(1) when the queue is empty. *)
+    [deferred] exemption; a scan of the queue. *)
 
 val deferred_live : t -> int
 (** Number of pending lazy-invalidation records. *)

@@ -37,13 +37,7 @@ let entry_is_leaf ~level pte = level = 1 || (level = 2 && Pte.is_large pte)
    learns nothing and damages nothing. *)
 let check_owner (st : State.t) ~op frame =
   let owner = Pgdesc.owner st.descs frame in
-  if State.owner_ok st owner then Ok ()
-  else begin
-    State.count_denial ~op st;
-    Error
-      (Nk_error.Cross_domain
-         { domain = st.State.cur_domain; owner; frame; op })
-  end
+  if State.owner_ok st owner then Ok () else State.cross_domain st ~owner ~frame op
 
 (* Ownership of everything a fresh PTE would reach: the linked child
    PTP for a non-leaf, every frame of the span for a leaf (a 2 MiB
@@ -67,10 +61,7 @@ let check_pte_targets (st : State.t) ~ptp ~level pte =
     let check ~op frame =
       let owner = Pgdesc.owner st.descs frame in
       if owner = 0 || owner = eff then Ok ()
-      else begin
-        State.count_denial ~op st;
-        Error (Nk_error.Cross_domain { domain = eff; owner; frame; op })
-      end
+      else State.cross_domain ~domain:eff st ~owner ~frame op
     in
     let target = Pte.frame pte in
     if not (Phys_mem.valid_frame st.machine.Machine.mem target) then
@@ -303,51 +294,57 @@ let flush_pending (st : State.t) (r : State.pending_flush) =
   Machine.count_ev st.machine Nktrace.Flush_on_reuse;
   issue_spans st ~scope:r.State.pf_scope r.State.pf_spans
 
-let flush_deferred_frame (st : State.t) frame =
-  match Hashtbl.find_opt st.State.deferred_frames frame with
-  | None -> ()
-  | Some recs ->
-      (* Issue first, retire after: the records stay visible to the
-         oracle (which fires from inside each shootdown) until every
-         span is actually flushed. *)
-      List.iter (flush_pending st) recs;
-      Hashtbl.remove st.State.deferred_frames frame;
-      st.State.deferred_count <- st.State.deferred_count - List.length recs;
-      List.iter
-        (fun (r : State.pending_flush) ->
-          match Hashtbl.find_opt st.State.deferred_slots r.State.pf_slot with
-          | Some f when f = frame ->
-              Hashtbl.remove st.State.deferred_slots r.State.pf_slot
-          | _ -> ())
-        recs
+(* The frame barrier runs on every outer frame allocation and every
+   present install, nearly always against a queue of at most a few
+   records, so the miss path is one allocation-free scan. *)
+let rec queued frame = function
+  | [] -> false
+  | (r : State.pending_flush) :: rest -> r.State.pf_frame = frame || queued frame rest
 
-let flush_deferred_slot (st : State.t) ~ptp ~index =
-  match Hashtbl.find_opt st.State.deferred_slots (ptp, index) with
-  | None -> ()
-  | Some frame -> flush_deferred_frame st frame
+let flush_deferred_frame (st : State.t) frame =
+  if queued frame st.State.deferred then begin
+    (* Issue first, retire after: the records stay visible to the
+       oracle (which fires from inside each shootdown) until every
+       span is actually flushed.  Newest record first. *)
+    List.iter
+      (fun (r : State.pending_flush) ->
+        if r.State.pf_frame = frame then flush_pending st r)
+      st.State.deferred;
+    st.State.deferred <-
+      List.filter
+        (fun (r : State.pending_flush) -> r.State.pf_frame <> frame)
+        st.State.deferred
+  end
+
+(* The slot barrier: the one record queued through (ptp, index) takes
+   its whole frame with it. *)
+let rec flush_deferred_slot (st : State.t) ~ptp ~index = function
+  | [] -> ()
+  | (r : State.pending_flush) :: rest ->
+      let p, i = r.State.pf_slot in
+      if p = ptp && i = index then flush_deferred_frame st r.State.pf_frame
+      else flush_deferred_slot st ~ptp ~index rest
+
+let flush_deferred_frames st frames =
+  List.iter (flush_deferred_frame st) (List.sort_uniq Int.compare frames)
 
 let flush_all_deferred (st : State.t) =
-  let frames =
-    Hashtbl.fold (fun f _ acc -> f :: acc) st.State.deferred_frames []
-  in
-  List.iter (flush_deferred_frame st) (List.sort compare frames)
+  flush_deferred_frames st
+    (List.map (fun (r : State.pending_flush) -> r.State.pf_frame) st.State.deferred)
 
 (* Drain every record queued by one domain's unmaps: the teardown
    barrier.  Whole frames flush at once (a peer's records on the same
    frame go too — conservative, never unsound). *)
 let flush_domain_deferred (st : State.t) domain =
-  let frames =
-    Hashtbl.fold
-      (fun f recs acc ->
-        if List.exists (fun (r : State.pending_flush) -> r.State.pf_domain = domain) recs
-        then f :: acc
-        else acc)
-      st.State.deferred_frames []
-  in
-  List.iter (flush_deferred_frame st) (List.sort compare frames)
+  flush_deferred_frames st
+    (List.filter_map
+       (fun (r : State.pending_flush) ->
+         if r.State.pf_domain = domain then Some r.State.pf_frame else None)
+       st.State.deferred)
 
 let defer_unmap (st : State.t) ~frame ~slot ~scope spans =
-  if st.State.deferred_count >= deferred_cap then flush_all_deferred st;
+  if List.compare_length_with st.State.deferred deferred_cap >= 0 then
+    flush_all_deferred st;
   (* Pin the flush audience down now: a stale copy of this translation
      can only live in a TLB that was resident when the PTE was cleared
      — a CPU that becomes resident later walks the already-cleared
@@ -367,12 +364,7 @@ let defer_unmap (st : State.t) ~frame ~slot ~scope spans =
     { State.pf_frame = frame; pf_slot = slot; pf_scope = scope; pf_spans = spans;
       pf_domain = st.State.cur_domain }
   in
-  let cur =
-    Option.value (Hashtbl.find_opt st.State.deferred_frames frame) ~default:[]
-  in
-  Hashtbl.replace st.State.deferred_frames frame (r :: cur);
-  Hashtbl.replace st.State.deferred_slots slot frame;
-  st.State.deferred_count <- st.State.deferred_count + 1;
+  st.State.deferred <- r :: st.State.deferred;
   Machine.count_ev st.machine Nktrace.Flush_deferred
 
 (* Deferral never applies to anything that could carry kernel, PTP or
@@ -459,7 +451,7 @@ let apply_update ?batch (st : State.t) ~ptp ~index ~level fresh =
     (* Reuse barriers: a fresh leaf through a slot with a pending lazy
        invalidation, or a new mapping of a frame that still has one,
        must flush before the new mapping becomes reachable. *)
-    flush_deferred_slot st ~ptp ~index;
+    flush_deferred_slot st ~ptp ~index st.State.deferred;
     flush_deferred_frame st target;
     (match Pgdesc.page_type st.descs target with
     | Pgdesc.Unused ->

@@ -119,6 +119,112 @@ let test_deferred_reuse_cross_asid () =
   Alcotest.(check int) "oracle clean" 0
     (List.length (Nested_kernel.Api.Diagnostics.Coherence.snapshot nk))
 
+(* Api-level universe for the deferred queue's contract: pdpt, pd and
+   pt declared and linked down from the boot root's slot 0, so pt[i]
+   translates user page i and an unmap through it is deferrable. *)
+let va0_universe () =
+  let m, nk = Helpers.booted_nk () in
+  let o = Nested_kernel.Api.outer_first_frame nk in
+  let link =
+    { Pte.no_flags with Pte.present = true; writable = true; user = true }
+  in
+  List.iter2
+    (fun level f ->
+      Helpers.check_ok_nk "declare" (Nested_kernel.Api.declare_ptp nk ~level f))
+    [ 3; 2; 1 ] [ o; o + 1; o + 2 ];
+  List.iter2
+    (fun ptp child ->
+      Helpers.check_ok_nk "link"
+        (Nested_kernel.Api.write_pte nk ~ptp ~index:0 (Pte.make ~frame:child link)))
+    [ nk.Nested_kernel.State.root_pml4; o; o + 1 ]
+    [ o; o + 1; o + 2 ];
+  let set index pte =
+    Helpers.check_ok_nk "write_pte"
+      (Nested_kernel.Api.write_pte nk ~ptp:(o + 2) ~index pte)
+  in
+  let map index frame = set index (Pte.make ~frame Pte.user_rw_nx) in
+  let unmap index = set index Pte.empty in
+  (m, nk, map, unmap, o + 3)
+
+(* Does any CPU's TLB still translate [vpage] to [frame]? *)
+let cached_to (m : Machine.t) ~vpage frame =
+  let hit = ref false in
+  Array.iter
+    (Tlb.iter_live ~f:(fun ~asid:_ ~vpage:v (e : Tlb.entry) ->
+         if v = vpage && e.Tlb.frame = frame then hit := true))
+    (Array.append [| m.Machine.tlb |] m.Machine.peer_tlbs);
+  !hit
+
+(* The slot barrier: a fresh leaf through a slot whose unmap is still
+   queued must fire that record first, even though the new leaf names
+   another frame — or the old frame's translation stays cached (and
+   exempt) under the new mapping. *)
+let test_deferred_slot_barrier () =
+  let m, nk, map, unmap, d0 = va0_universe () in
+  let d1 = d0 + 1 in
+  map 0 d0;
+  Helpers.check_ok "touch fills the TLB"
+    (Machine.write_u8 m ~ring:Mmu.User 0 7);
+  unmap 0;
+  Alcotest.(check int) "unmap deferred" 1
+    (Nested_kernel.Api.nk_deferred_live nk);
+  Alcotest.(check bool) "d0 still cached while deferred" true
+    (cached_to m ~vpage:0 d0);
+  let w = Window.start m in
+  map 0 d1;
+  Alcotest.(check int) "d0's record fired" 1
+    (Window.count w Nktrace.Flush_on_reuse);
+  Alcotest.(check int) "queue empty" 0 (Nested_kernel.Api.nk_deferred_live nk);
+  Alcotest.(check bool) "no TLB maps the page to d0" false
+    (cached_to m ~vpage:0 d0)
+
+(* The cap: 129 eligible unmaps never leave more than 128 records; the
+   129th drains the first 128 and then queues itself. *)
+let test_deferred_cap () =
+  let m, nk, map, unmap, d0 = va0_universe () in
+  for i = 0 to 128 do
+    map i (d0 + i)
+  done;
+  let w = Window.start m in
+  let peak = ref 0 in
+  for i = 0 to 127 do
+    unmap i;
+    peak := max !peak (Nested_kernel.Api.nk_deferred_live nk)
+  done;
+  Alcotest.(check int) "128 records queued" 128 !peak;
+  Alcotest.(check int) "none fired below the cap" 0
+    (Window.count w Nktrace.Flush_on_reuse);
+  unmap 128;
+  Alcotest.(check int) "every unmap deferred" 129
+    (Window.count w Nktrace.Flush_deferred);
+  Alcotest.(check int) "the 129th drains the first 128" 128
+    (Window.count w Nktrace.Flush_on_reuse);
+  Alcotest.(check int) "and queues itself" 1
+    (Nested_kernel.Api.nk_deferred_live nk)
+
+(* The oracle's exemption is as narrow as each record: its own frame,
+   at a vpage inside its own spans. *)
+let test_deferred_exemption_width () =
+  let _, nk, map, unmap, d0 = va0_universe () in
+  let d1 = d0 + 1 in
+  map 0 d0;
+  map 1 d1;
+  unmap 0;
+  unmap 1;
+  let exempt ~vpage frame =
+    Nested_kernel.State.is_deferred nk ~vpage
+      { Tlb.frame; writable = true; user = true; nx = true; global = false }
+  in
+  Alcotest.(check bool) "record's frame inside its span" true
+    (exempt ~vpage:0 d0);
+  Alcotest.(check bool) "second record likewise" true (exempt ~vpage:1 d1);
+  Alcotest.(check bool) "another frame at the same vpage" false
+    (exempt ~vpage:0 d1);
+  Alcotest.(check bool) "same frame outside its spans" false
+    (exempt ~vpage:1 d0);
+  Alcotest.(check bool) "same frame past every span" false
+    (exempt ~vpage:2 d0)
+
 (* Residency filtering must never outrun the occupancy probe: a parked
    TLB holding a live entry under an ASID no residency record knows
    about still gets the IPI, while a genuinely empty peer is skipped. *)
@@ -166,6 +272,11 @@ let suite =
       test_residency_reset;
     Alcotest.test_case "deferred frame reused by another ASID" `Quick
       test_deferred_reuse_cross_asid;
+    Alcotest.test_case "deferred slot barrier fires on reinstall" `Quick
+      test_deferred_slot_barrier;
+    Alcotest.test_case "deferred queue capped at 128" `Quick test_deferred_cap;
+    Alcotest.test_case "deferred exemption is per record" `Quick
+      test_deferred_exemption_width;
     Alcotest.test_case "occupancy probe backstops filtering" `Quick
       test_parked_peer_occupancy;
     Alcotest.test_case "batched COW downgrades coalesce" `Quick
