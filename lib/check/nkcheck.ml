@@ -442,14 +442,20 @@ let fingerprint (u : u) : fp =
   let h = ref (0x3bf29ce484222325, 0x1e3779b97f4a7c15) in
   let mix x = h := fp_mix !h x in
   (* Bounded physical memory: the NK region, the playground, and the
-     first pages of the large-leaf span — every frame any op writes. *)
+     first pages of the large-leaf span — every frame any op writes.
+     The words are [fp_mix]ed into two local ints, with no pair
+     allocated per word. *)
   let hi = u.f_large + 1 in
-  for f = 0 to hi do
-    let base = Addr.pa_of_frame f in
-    for w = 0 to (Addr.page_size / 8) - 1 do
-      mix (Phys_mem.read_u64 mem (base + (8 * w)))
+  if not (Phys_mem.valid_frame mem hi) then invalid_arg "Nkcheck.fingerprint";
+  let h1 = ref (fst !h) and h2 = ref (snd !h) in
+  for frame = 0 to hi do
+    for index = 0 to Addr.entries_per_table - 1 do
+      let x = Phys_mem.read_table_word mem ~frame ~index land max_int in
+      h1 := (!h1 lxor x) * 0x100000001b3 land max_int;
+      h2 := ((!h2 + x + 1) * 0x27d4eb2f165667c5 + 0x9e3779b9) land max_int
     done
   done;
+  h := (!h1, !h2);
   (* Per-CPU architectural state. *)
   mix (Smp.active u.smp);
   for id = 0 to Smp.cpu_count u.smp - 1 do
@@ -480,17 +486,17 @@ let fingerprint (u : u) : fp =
     h := fp_bool !h (Iommu.is_protected m.Machine.iommu f)
   done;
   (* Page descriptors over the same bounded range. *)
+  let descs = st.State.descs in
   for f = 0 to hi do
-    let d = Pgdesc.get st.State.descs f in
-    mix (ptype_tag d.Pgdesc.ptype);
-    mix d.Pgdesc.owner;
-    h := fp_bool !h d.Pgdesc.validated_code;
+    mix (ptype_tag (Pgdesc.page_type descs f));
+    mix (Pgdesc.owner descs f);
+    h := fp_bool !h (Pgdesc.is_validated descs f);
     h :=
       fp_list !h
         (fun h (mp : Pgdesc.mapping) ->
           fp_mix (fp_mix (fp_mix h mp.Pgdesc.ptp) mp.Pgdesc.index)
             (match mp.Pgdesc.kind with Pgdesc.Data_map -> 1 | Pgdesc.Table_link -> 2))
-        (List.sort compare d.Pgdesc.mappings)
+        (List.sort compare (Pgdesc.mappings descs f))
   done;
   (* Nested-kernel bookkeeping. *)
   let roots = Hashtbl.fold (fun p r acc -> (p, r) :: acc) st.State.pcid_roots [] in

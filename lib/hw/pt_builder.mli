@@ -26,8 +26,13 @@ val build_direct_map :
   root:Addr.frame ->
   alloc_ptp:(unit -> Addr.frame) ->
   ?on_new_ptp:(level:int -> Addr.frame -> unit) ->
+  ?on_entry:(ptp:Addr.frame -> index:int -> level:int -> Pte.t -> unit) ->
   frames:int ->
   Pte.flags ->
   unit
 (** Map physical frames [0, frames) at [Addr.kernbase] (the kernel
-    direct map) with uniform flags. *)
+    direct map) with uniform flags: the words {!map_page} would write
+    for each frame in turn, into the same [alloc_ptp] tables in the
+    same order, filled one leaf table at a time.  [on_entry] is told
+    of every entry written (table links at their [level], leaves at
+    level 1) in the order {!Page_table.iter_tree} would visit them. *)

@@ -123,10 +123,10 @@ let destroy (st : State.t) ~domain =
             in
             List.iter (Hashtbl.remove st.State.pipes) stale;
             let leaked = ref 0 in
-            Pgdesc.iter st.descs (fun _ desc ->
-                if desc.Pgdesc.owner = domain then begin
+            Pgdesc.iter st.descs (fun f ->
+                if Pgdesc.owner st.descs f = domain then begin
                   incr leaked;
-                  desc.Pgdesc.owner <- 0
+                  Pgdesc.set_owner st.descs f 0
                 end);
             d.State.dom_live <- false;
             if st.State.cur_domain = domain then st.State.cur_domain <- 0;

@@ -17,14 +17,6 @@ let default_layout ~total_frames =
     ptp_pool_frames = (total_frames / Addr.entries_per_table) + 8;
   }
 
-(* Record reverse mappings for the whole boot translation tree so the
-   descriptor reverse maps start consistent with the hardware state. *)
-let register_tree descs mem ~root =
-  Page_table.iter_tree mem ~root (fun ~ptp ~index ~level pte ->
-      let leaf = level = 1 || (level = 2 && Pte.is_large pte) in
-      let kind = if leaf then Pgdesc.Data_map else Pgdesc.Table_link in
-      Pgdesc.add_mapping descs (Pte.frame pte) { Pgdesc.ptp; index; kind })
-
 let boot ?layout (m : Machine.t) =
   let total = Phys_mem.num_frames m.Machine.mem in
   let l =
@@ -53,10 +45,18 @@ let boot ?layout (m : Machine.t) =
     let root = alloc_ptp () in
     Phys_mem.zero_frame m.Machine.mem root;
     ptps := [ (root, 4) ];
+    (* Reverse maps are registered as the builder writes each entry,
+       so they start consistent with the hardware state. *)
+    let on_entry ~ptp ~index ~level pte =
+      let kind = if level = 1 then Pgdesc.Data_map else Pgdesc.Table_link in
+      Pgdesc.add_mapping descs (Pte.frame pte) { Pgdesc.ptp; index; kind }
+    in
     (* Direct-map leaves are global: the kernel half is identical in
-       every address space, so its translations survive CR3 reloads. *)
+       every address space, so its translations survive CR3 reloads.
+       They are built with the [Unused] row of the protection table
+       (writable, NX). *)
     Pt_builder.build_direct_map m.Machine.mem ~root ~alloc_ptp ~on_new_ptp
-      ~frames:total
+      ~on_entry ~frames:total
       { Pte.kernel_rw_nx with Pte.global = true };
     (* Assign page types. *)
     Pgdesc.set_type descs 0 Pgdesc.Nk_data;
@@ -78,20 +78,22 @@ let boot ?layout (m : Machine.t) =
     for f = ptp_first to ptp_first + l.ptp_pool_frames - 1 do
       if Frame_alloc.is_free ptp_pool f then Pgdesc.set_type descs f Pgdesc.Nk_data
     done;
-    register_tree descs m.Machine.mem ~root;
-    (* Protection pass: every frame gets its row of the protection
-       table — direct-map leaf rights (raw stores; the leaf stays
-       global) and the IOMMU shield from DMA (section 2.5). *)
+    (* Protection pass: each nested-kernel frame gets its row of the
+       protection table — direct-map leaf rights (raw stores; the leaf
+       stays global) and the IOMMU shield from DMA (section 2.5).
+       Every frame from [nk_first + nk_count] on is [Unused], whose
+       row is the one the direct map was built with. *)
     Iommu.set_enabled m.Machine.iommu true;
-    Pgdesc.iter descs (fun f d ->
-        let ty = d.Pgdesc.ptype and validated = d.Pgdesc.validated_code in
-        List.iter
-          (fun (mp : Pgdesc.mapping) ->
-            let e = Page_table.get_entry m.Machine.mem ~ptp:mp.ptp ~index:mp.index in
-            Page_table.set_entry m.Machine.mem ~ptp:mp.ptp ~index:mp.index
-              (Pgdesc.with_rights ty ~validated e))
-          (Pgdesc.data_maps descs f);
-        if Pgdesc.shielded ty ~validated then Iommu.protect_frame m.Machine.iommu f);
+    for f = 0 to nk_first + nk_count - 1 do
+      let ty = Pgdesc.page_type descs f and validated = Pgdesc.is_validated descs f in
+      List.iter
+        (fun (mp : Pgdesc.mapping) ->
+          let e = Page_table.get_entry m.Machine.mem ~ptp:mp.ptp ~index:mp.index in
+          Page_table.set_entry m.Machine.mem ~ptp:mp.ptp ~index:mp.index
+            (Pgdesc.with_rights ty ~validated e))
+        (Pgdesc.data_maps descs f);
+      if Pgdesc.shielded ty ~validated then Iommu.protect_frame m.Machine.iommu f
+    done;
     (* Install gate code and the secure stack. *)
     let gate =
       Gate.install m.Machine.mem

@@ -72,21 +72,16 @@ let audit (st : State.t) =
       end;
       (* Reverse-map consistency. *)
       let kind = if leaf then Pgdesc.Data_map else Pgdesc.Table_link in
-      if
-        not
-          (List.mem
-             { Pgdesc.ptp; index; kind }
-             (Pgdesc.mappings descs target))
-      then
+      if not (Pgdesc.has_mapping descs target { Pgdesc.ptp; index; kind }) then
         fail "RMAP" "entry %d[%d] -> frame %d missing from reverse map" ptp
           index target);
   (* I14: no PTE installed under one tenant domain reaches a frame
      owned by another.  Walk every tenant-owned PTP's live entries; a
      leaf frame or linked child owned by a different live tenant is a
      breach of the ownership lattice (host-owned frames are shared). *)
-  Pgdesc.iter descs (fun ptp d ->
-      let owner = d.Pgdesc.owner in
-      match d.Pgdesc.ptype with
+  Pgdesc.iter descs (fun ptp ->
+      let owner = Pgdesc.owner descs ptp in
+      match Pgdesc.page_type descs ptp with
       | Pgdesc.Unused when owner <> 0 ->
           (* Ownership is a claim on a live resource; a free frame
              still carrying a tenant's mark poisons its next use (the
@@ -147,8 +142,8 @@ let audit (st : State.t) =
   (* IOMMU coverage. *)
   if not (Iommu.enabled m.Machine.iommu) then fail "DMA" "IOMMU disabled"
   else
-    Pgdesc.iter descs (fun f d ->
-        match d.Pgdesc.ptype with
+    Pgdesc.iter descs (fun f ->
+        match Pgdesc.page_type descs f with
         | Pgdesc.Ptp _ | Pgdesc.Nk_code | Pgdesc.Nk_data | Pgdesc.Nk_stack
         | Pgdesc.Protected_data ->
             if not (Iommu.is_protected m.Machine.iommu f) then

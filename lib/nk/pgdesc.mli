@@ -26,20 +26,15 @@ type mapping_kind =
 type mapping = { ptp : Addr.frame; index : int; kind : mapping_kind }
 (** One page-table entry referencing the page. *)
 
-type desc = {
-  mutable ptype : page_type;
-  mutable mappings : mapping list;
-  mutable validated_code : bool;
-      (** scanned free of protected instructions *)
-  mutable owner : int;
-      (** owning domain: 0 = host/shared, >0 = a tenant domain *)
-}
-
 type t
+(** One flat store per field (type, owner, validated bit, reverse
+    map), indexed by frame.  Every accessor raises [Invalid_argument]
+    on a frame outside [0, frames). *)
 
 val create : frames:int -> t
+(** Every frame [Unused], owned by domain 0, unvalidated, unmapped. *)
+
 val frames : t -> int
-val get : t -> Addr.frame -> desc
 val page_type : t -> Addr.frame -> page_type
 val set_type : t -> Addr.frame -> page_type -> unit
 
@@ -48,11 +43,23 @@ val owner : t -> Addr.frame -> int
 
 val set_owner : t -> Addr.frame -> int -> unit
 val set_validated : t -> Addr.frame -> bool -> unit
+
 val is_validated : t -> Addr.frame -> bool
+(** Scanned free of protected instructions. *)
 
 val add_mapping : t -> Addr.frame -> mapping -> unit
+(** Record an entry referencing the frame.  Its [index] must be below
+    512, as {!Page_table.entry_pa} enforces for every written entry. *)
+
 val remove_mapping : t -> Addr.frame -> mapping -> unit
+(** Drop the newest recorded entry equal to the mapping, if any. *)
+
 val mappings : t -> Addr.frame -> mapping list
+(** Every recorded entry referencing the frame, newest first. *)
+
+val has_mapping : t -> Addr.frame -> mapping -> bool
+(** [List.mem m (mappings t f)], without building the list. *)
+
 val reference_count : t -> Addr.frame -> int
 
 val table_links : t -> Addr.frame -> mapping list
@@ -60,6 +67,11 @@ val table_links : t -> Addr.frame -> mapping list
     page-table page. *)
 
 val data_maps : t -> Addr.frame -> mapping list
+
+val iter_table_links :
+  t -> Addr.frame -> (ptp:Addr.frame -> index:int -> unit) -> unit
+(** [List.iter] over {!table_links}, without building the list: the
+    vMMU climbs these on every shootdown-position lookup. *)
 
 (** {2 The page-protection table}
 
@@ -102,5 +114,7 @@ val is_write_protected_type : t -> Addr.frame -> bool
 val is_ptp : t -> Addr.frame -> bool
 val ptp_level : t -> Addr.frame -> int option
 
-val iter : t -> (Addr.frame -> desc -> unit) -> unit
+val iter : t -> (Addr.frame -> unit) -> unit
+(** Visit every frame, ascending. *)
+
 val pp_page_type : Format.formatter -> page_type -> unit

@@ -177,11 +177,8 @@ let ptp_base_vpages (st : State.t) ptp =
           bases.(!n) <- off;
           incr n
       | Some level ->
-          List.iter
-            (fun (mp : Pgdesc.mapping) ->
-              climb (depth + 1) mp.Pgdesc.ptp
-                (off + (mp.Pgdesc.index * pages_per_entry (level + 1))))
-            (Pgdesc.table_links st.descs frame)
+          Pgdesc.iter_table_links st.descs frame (fun ~ptp ~index ->
+              climb (depth + 1) ptp (off + (index * pages_per_entry (level + 1))))
   in
   match climb 0 ptp 0 with () -> !n | exception Unbounded_positions -> -1
 

@@ -430,7 +430,9 @@ let push t kind code arg =
   t.r_code.(h) <- code;
   t.r_arg.(h) <- arg;
   t.seq <- t.seq + 1;
-  t.head <- (h + 1) mod cap
+  (* Compare-and-wrap: [mod] by a capacity that is not a constant is
+     an integer division on every traced event. *)
+  t.head <- (if h + 1 = cap then 0 else h + 1)
 
 let intern_str t s =
   match Hashtbl.find t.str_ids s with

@@ -130,8 +130,8 @@ let dmap_leaf m f =
 
 let first_of_type (nk : Api.t) ty =
   let found = ref (-1) in
-  Pgdesc.iter nk.State.descs (fun f d ->
-      if !found < 0 && d.Pgdesc.ptype = ty then found := f);
+  Pgdesc.iter nk.State.descs (fun f ->
+      if !found < 0 && Pgdesc.page_type nk.State.descs f = ty then found := f);
   !found
 
 let test_retire_refuses name pick () =

@@ -141,9 +141,10 @@ let protected_frames_unwritable nk =
   let m = Nested_kernel.Api.machine nk in
   let st : Nested_kernel.State.t = nk in
   let bad = ref 0 in
-  Nested_kernel.Pgdesc.iter st.Nested_kernel.State.descs (fun f d ->
+  let descs = st.Nested_kernel.State.descs in
+  Nested_kernel.Pgdesc.iter descs (fun f ->
       let must_hold =
-        match d.Nested_kernel.Pgdesc.ptype with
+        match Nested_kernel.Pgdesc.page_type descs f with
         | Nested_kernel.Pgdesc.Ptp _ | Nested_kernel.Pgdesc.Nk_code
         | Nested_kernel.Pgdesc.Nk_data | Nested_kernel.Pgdesc.Nk_stack
         | Nested_kernel.Pgdesc.Protected_data ->

@@ -31,9 +31,9 @@ let test_page_types_protected () =
   (* Every nested-kernel-owned or PTP frame must be unwritable through
      the direct map while WP is on. *)
   let bad = ref 0 in
-  Pgdesc.iter nk.State.descs (fun f d ->
+  Pgdesc.iter nk.State.descs (fun f ->
       let protected_ =
-        match d.Pgdesc.ptype with
+        match Pgdesc.page_type nk.State.descs f with
         | Pgdesc.Ptp _ | Pgdesc.Nk_code | Pgdesc.Nk_data | Pgdesc.Nk_stack
         | Pgdesc.Protected_data ->
             true
@@ -109,6 +109,53 @@ let test_small_heap_exhausts () =
   | Error Nk_error.Out_of_protected_memory -> ()
   | Ok _ | Error _ -> Alcotest.fail "expected exhaustion"
 
+(* Boot's reverse maps, as boot used to register them: a walk of the
+   finished translation tree, one entry at a time in the walk's order. *)
+let register_tree descs mem ~root =
+  Page_table.iter_tree mem ~root (fun ~ptp ~index ~level pte ->
+      let leaf = level = 1 || (level = 2 && Pte.is_large pte) in
+      let kind = if leaf then Pgdesc.Data_map else Pgdesc.Table_link in
+      Pgdesc.add_mapping descs (Pte.frame pte) { Pgdesc.ptp; index; kind })
+
+let test_boot_reverse_maps frames () =
+  let m, nk = Helpers.booted_nk ~frames () in
+  let mem = m.Machine.mem and descs = nk.State.descs in
+  let walked = Pgdesc.create ~frames in
+  register_tree walked mem ~root:nk.State.root_pml4;
+  let pp_mapping ppf (mp : Pgdesc.mapping) =
+    Format.fprintf ppf "%d[%d]%s" mp.Pgdesc.ptp mp.Pgdesc.index
+      (match mp.Pgdesc.kind with Pgdesc.Data_map -> "d" | Pgdesc.Table_link -> "t")
+  in
+  let mapping = Alcotest.testable pp_mapping ( = ) in
+  let multi = ref 0 in
+  Pgdesc.iter descs (fun f ->
+      if Pgdesc.reference_count descs f > 1 then incr multi;
+      Alcotest.(check (list mapping))
+        (Printf.sprintf "frame %d: reverse map, newest first" f)
+        (Pgdesc.mappings walked f) (Pgdesc.mappings descs f));
+  (* Every PTP is both linked and direct-mapped, in either order. *)
+  Alcotest.(check bool) "frames with two mappings checked" true (!multi > 1);
+  (* The direct-map leaf of every frame is its row of the protection
+     table, [Unused] frames included (the row the map was built with). *)
+  let built = { Pte.kernel_rw_nx with Pte.global = true } in
+  for f = 0 to frames - 1 do
+    match Page_table.walk mem ~root:nk.State.root_pml4 (Addr.kva_of_frame f) with
+    | Page_table.Not_mapped _ -> Alcotest.failf "frame %d not direct-mapped" f
+    | Page_table.Mapped w ->
+        let leaf =
+          Page_table.get_entry mem ~ptp:w.Page_table.leaf_ptp
+            ~index:w.Page_table.leaf_index
+        in
+        let row =
+          Pgdesc.with_rights (Pgdesc.page_type descs f)
+            ~validated:(Pgdesc.is_validated descs f)
+            (Pte.make ~frame:f built)
+        in
+        if leaf <> row then
+          Alcotest.failf "frame %d (%a): leaf %#x, row %#x" f Pgdesc.pp_page_type
+            (Pgdesc.page_type descs f) leaf row
+  done
+
 let suite =
   [
     Alcotest.test_case "boot state (I3/I7)" `Quick test_boot_state;
@@ -122,4 +169,8 @@ let suite =
     Alcotest.test_case "boot fails on tiny machine" `Quick test_boot_too_small;
     Alcotest.test_case "custom layout" `Quick test_custom_layout;
     Alcotest.test_case "small heap exhausts" `Quick test_small_heap_exhausts;
+    Alcotest.test_case "reverse maps = a walk of the boot tree" `Quick
+      (test_boot_reverse_maps 2048);
+    Alcotest.test_case "checker universe reverse maps" `Quick
+      (test_boot_reverse_maps 544);
   ]

@@ -14,6 +14,13 @@ let replay_clean name () =
   Alcotest.(check (list (pair int string)))
     "replays clean" [] outcome.Nkcheck.ro_failures
 
+(* The explored (states, transitions) of a bound are its equivalence
+   classes: pinned, so a fingerprint that silently merges (or splits)
+   states fails here, not only in nkbench. *)
+let check_counts (states, transitions) report =
+  Alcotest.(check (pair int int)) "(states, transitions)" (states, transitions)
+    (report.Nkcheck.rp_states, report.Nkcheck.rp_transitions)
+
 let test_small_bound_clean () =
   let report =
     Nkcheck.run { Nkcheck.default with depth = 2; vocab = Nkcheck.Core }
@@ -21,8 +28,7 @@ let test_small_bound_clean () =
   Alcotest.(check bool) "not truncated" false report.Nkcheck.rp_truncated;
   Alcotest.(check int) "no counterexamples" 0
     (List.length report.Nkcheck.rp_counterexamples);
-  Alcotest.(check bool) "explored more than the initial state" true
-    (report.Nkcheck.rp_states > 1)
+  check_counts (28, 72) report
 
 let test_inject_bound_clean () =
   let report =
@@ -31,7 +37,17 @@ let test_inject_bound_clean () =
   in
   Alcotest.(check bool) "not truncated" false report.Nkcheck.rp_truncated;
   Alcotest.(check int) "no counterexamples" 0
-    (List.length report.Nkcheck.rp_counterexamples)
+    (List.length report.Nkcheck.rp_counterexamples);
+  check_counts (48, 144) report
+
+let test_full_bound_clean () =
+  let report =
+    Nkcheck.run { Nkcheck.default with depth = 2; vocab = Nkcheck.Full }
+  in
+  Alcotest.(check bool) "not truncated" false report.Nkcheck.rp_truncated;
+  Alcotest.(check int) "no counterexamples" 0
+    (List.length report.Nkcheck.rp_counterexamples);
+  check_counts (200, 558) report
 
 let test_domains_bound_clean () =
   let report =
@@ -41,7 +57,8 @@ let test_domains_bound_clean () =
   Alcotest.(check int) "no counterexamples" 0
     (List.length report.Nkcheck.rp_counterexamples);
   Alcotest.(check bool) "domain ops in the vocabulary" true
-    (List.mem "dom-destroy-b" report.Nkcheck.rp_op_names)
+    (List.mem "dom-destroy-b" report.Nkcheck.rp_op_names);
+  check_counts (103, 325) report
 
 let test_deterministic () =
   let run () =
@@ -73,6 +90,7 @@ let suite =
       test_small_bound_clean;
     Alcotest.test_case "depth-2 core bound clean under injection" `Quick
       test_inject_bound_clean;
+    Alcotest.test_case "depth-2 full bound is clean" `Quick test_full_bound_clean;
     Alcotest.test_case "exploration is deterministic" `Quick test_deterministic;
     Alcotest.test_case "unknown op reported, not crashed" `Quick
       test_unknown_op_reported;

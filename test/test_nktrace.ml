@@ -136,8 +136,8 @@ let test_registry_pinned () =
 
 (* [late]: the tracer counts while disabled first, so it holds no
    ring, and gets one at its first [enable]. *)
-let test_ring_overwrite ~late () =
-  let t = Nktrace.create ~ring_capacity:4 () in
+let test_ring_overwrite ~late ~cap () =
+  let t = Nktrace.create ~ring_capacity:cap () in
   if late then begin
     Nktrace.count_n t Nktrace.Pte_write 0;
     let snap = Nktrace.snapshot t in
@@ -149,12 +149,14 @@ let test_ring_overwrite ~late () =
     Nktrace.count_n t Nktrace.Pte_write i
   done;
   let snap = Nktrace.snapshot t in
-  Alcotest.(check int) "ring holds capacity" 4
+  Alcotest.(check int) "ring holds capacity" cap
     (List.length snap.Nktrace.events);
-  Alcotest.(check int) "overwrites counted" 6 snap.Nktrace.dropped;
+  Alcotest.(check int) "overwrites counted" (10 - cap) snap.Nktrace.dropped;
   (* Oldest-first, and seq survives the overwrite. *)
   let seqs = List.map (fun r -> r.Nktrace.seq) snap.Nktrace.events in
-  Alcotest.(check (list int)) "oldest first, newest kept" [ 6; 7; 8; 9 ] seqs;
+  Alcotest.(check (list int)) "oldest first, newest kept"
+    (List.init cap (fun i -> 10 - cap + i))
+    seqs;
   Alcotest.(check int) "counter unaffected by overwrite" 55
     (Nktrace.counter_value t Nktrace.Pte_write);
   Nktrace.clear t;
@@ -534,9 +536,11 @@ let suite =
     Alcotest.test_case "typed counters" `Quick test_counters;
     Alcotest.test_case "counter registry pinned" `Quick test_registry_pinned;
     Alcotest.test_case "ring overwrite and dropped accounting" `Quick
-      (test_ring_overwrite ~late:false);
+      (test_ring_overwrite ~late:false ~cap:4);
     Alcotest.test_case "ring allocated at first enable overwrites alike" `Quick
-      (test_ring_overwrite ~late:true);
+      (test_ring_overwrite ~late:true ~cap:4);
+    Alcotest.test_case "capacity-1 ring overwrites alike" `Quick
+      (test_ring_overwrite ~late:false ~cap:1);
     Alcotest.test_case "exact percentiles" `Quick test_percentiles;
     Alcotest.test_case "bounded reservoir keeps global stats" `Quick
       test_reservoir_bounded;

@@ -109,6 +109,64 @@ let prop_map_then_translate =
         (Pte.make ~frame Pte.user_rw_nx);
       Page_table.translate mem ~root va = Some (Addr.pa_of_frame frame))
 
+(* Build the direct map of [frames] frames into a fresh memory whose
+   page-table pages are bump-allocated past the mapped range, with
+   [build root alloc_ptp on_new_ptp]; returns the memory, the PTPs in
+   allocation order (frame, level) and the number of stores. *)
+let direct_map_with ~frames build =
+  let mem = Phys_mem.create ~frames:(frames + 1024) in
+  let next = ref frames in
+  let alloc_ptp () =
+    let f = !next in
+    incr next;
+    f
+  in
+  let root = alloc_ptp () in
+  Phys_mem.zero_frame mem root;
+  let ptps = ref [ (root, 4) ] in
+  let on_new_ptp ~level f = ptps := (f, level) :: !ptps in
+  build ~root ~alloc_ptp ~on_new_ptp mem;
+  (mem, root, List.rev !ptps, Phys_mem.writes mem)
+
+let flags = { Pte.kernel_rw_nx with Pte.global = true }
+
+let test_direct_map_matches_map_page frames () =
+  let reference =
+    direct_map_with ~frames (fun ~root ~alloc_ptp ~on_new_ptp mem ->
+        for f = 0 to frames - 1 do
+          Pt_builder.map_page mem ~root ~alloc_ptp ~on_new_ptp
+            (Addr.kva_of_frame f) (Pte.make ~frame:f flags)
+        done)
+  in
+  let reported = ref [] in
+  let built =
+    direct_map_with ~frames (fun ~root ~alloc_ptp ~on_new_ptp mem ->
+        Pt_builder.build_direct_map mem ~root ~alloc_ptp ~on_new_ptp
+          ~on_entry:(fun ~ptp ~index ~level pte ->
+            reported := (ptp, index, level, pte) :: !reported)
+          ~frames flags)
+  in
+  let mem_r, _, ptps_r, writes_r = reference
+  and mem_b, root, ptps_b, writes_b = built in
+  Alcotest.(check (list (pair int int))) "same tables, same order, same levels"
+    ptps_r ptps_b;
+  Alcotest.(check int) "same number of stores" writes_r writes_b;
+  List.iter
+    (fun (ptp, _) ->
+      for index = 0 to Addr.entries_per_table - 1 do
+        let r = Page_table.get_entry mem_r ~ptp ~index
+        and b = Page_table.get_entry mem_b ~ptp ~index in
+        if r <> b then
+          Alcotest.failf "table %d entry %d: map_page %#x, builder %#x" ptp index r b
+      done)
+    ptps_r;
+  let walked = ref [] in
+  Page_table.iter_tree mem_b ~root (fun ~ptp ~index ~level pte ->
+      walked := (ptp, index, level, pte) :: !walked);
+  Alcotest.(check int) "one report per entry" (frames + List.length ptps_b - 1)
+    (List.length !reported);
+  Alcotest.(check bool) "reports in tree order" true (!walked = !reported)
+
 let suite =
   [
     Alcotest.test_case "walk unmapped" `Quick test_walk_unmapped;
@@ -122,3 +180,10 @@ let suite =
       test_iter_user_leaves_skips_kernel;
     prop_map_then_translate;
   ]
+  @ List.map
+      (fun frames ->
+        Alcotest.test_case
+          (Printf.sprintf "%d-frame direct map = map_page per frame" frames)
+          `Quick
+          (test_direct_map_matches_map_page frames))
+      [ 1; 511; 512; 513; 544; 262_145 ]
