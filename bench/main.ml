@@ -700,10 +700,7 @@ let attacks () =
       Printf.printf "\n-- %s --\n" (Config.name config);
       List.iter
         (fun (a : Nk_attacks.Attack.t) ->
-          let k = Os.boot config in
-          let outcome = a.Nk_attacks.Attack.run k in
-          let expected = Nk_attacks.All.expected_defended config a.name in
-          let agree = Nk_attacks.Attack.defended outcome = expected in
+          let outcome, agree = Nk_attacks.All.run config a in
           Printf.printf "  %s %-26s %s\n"
             (if agree then "ok" else "??")
             a.Nk_attacks.Attack.name

@@ -294,10 +294,8 @@ let attacks_cmd =
       let failures = ref 0 in
       List.iter
         (fun (a : Nk_attacks.Attack.t) ->
-          let k = Os.boot config in
-          let outcome = a.Nk_attacks.Attack.run k in
-          let expected = Nk_attacks.All.expected_defended config a.name in
-          if Nk_attacks.Attack.defended outcome <> expected then incr failures;
+          let outcome, agrees = Nk_attacks.All.run config a in
+          if not agrees then incr failures;
           Printf.printf "%-26s [%s] %s\n" a.Nk_attacks.Attack.name
             a.Nk_attacks.Attack.paper_ref
             (Format.asprintf "%a" Nk_attacks.Attack.pp_outcome outcome))

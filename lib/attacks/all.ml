@@ -46,3 +46,7 @@ let expected_defended config name =
   match policy_specific name with
   | Some required -> config = required
   | None -> Config.is_nested config
+
+let run config (a : Attack.t) =
+  let outcome = a.Attack.run (Os.boot config) in
+  (outcome, Attack.defended outcome = expected_defended config a.Attack.name)

@@ -12,3 +12,8 @@ val expected_defended : Config.t -> string -> bool
     base nested kernel intentionally does {e not} stop the
     policy-specific attacks (syscall hooking without the write-once
     table, DKOM without the shadow list) — exactly as in the paper. *)
+
+val run : Config.t -> Attack.t -> Attack.outcome * bool
+(** One cell of the matrix: boot a fresh kernel in [config], run the
+    attack on it, and return its outcome and whether that outcome
+    matches {!expected_defended}. *)

@@ -44,7 +44,7 @@ let fresh_ctx ~id ~cpu ~cr ~tlb =
    deferred one: posting a shootdown into a mailbox is what the rx
    counter tracks, and a reschedule wakes an idle CPU.  The wake-up
    line is level-triggered, so an injected-delay [Reschedule] un-halts
-   the target at send time (see [send_ipi]) — otherwise a delayed wake
+   the target at send time (see [post]) — otherwise a delayed wake
    to a halted CPU could never be drained and would wedge the run. *)
 let deliver t c ipi =
   Queue.push ipi c.mailbox;
@@ -53,6 +53,17 @@ let deliver t c ipi =
   | Reschedule -> c.halted <- false
   | Halt -> ());
   Nktrace.count t.machine.Machine.trace (ipi_counter ipi)
+
+(* Post [ipi] to [c] through the injector: dropped, delayed to the
+   next drain, or delivered now, drawing [Ipi_drop] before
+   [Ipi_delay]. *)
+let post t c ipi =
+  if Nkinject.fire_opt t.inject Nkinject.Ipi_drop then ()
+  else if Nkinject.fire_opt t.inject Nkinject.Ipi_delay then begin
+    Queue.push ipi c.delayed;
+    if ipi = Reschedule then c.halted <- false (* level-triggered wake *)
+  end
+  else deliver t c ipi
 
 (* Shootdowns post an acknowledgement obligation into the mailbox of
    every peer the machine actually flushed — residency filtering means
@@ -70,17 +81,12 @@ let install_shootdown_notify t =
         let targets = m.Machine.shoot_targets in
         for i = 0 to m.Machine.shoot_ntargets - 1 do
           let id = targets.(i) in
-          if id <> t.active && id >= 0 && id < Array.length t.cpus then begin
-            let c = t.cpus.(id) in
+          if id <> t.active && id >= 0 && id < Array.length t.cpus then
             (* The TLB invalidation was synchronous, so a dropped or
                delayed acknowledgement IPI degrades bookkeeping only
                — exactly the hardware situation the drain-before-
                dispatch obligation must survive. *)
-            if Nkinject.fire_opt t.inject Nkinject.Ipi_drop then ()
-            else if Nkinject.fire_opt t.inject Nkinject.Ipi_delay then
-              Queue.push Shootdown c.delayed
-            else deliver t c Shootdown
-          end
+            post t t.cpus.(id) Shootdown
         done)
 
 let create machine =
@@ -195,39 +201,29 @@ let with_cpu t id f =
       raise exn
 
 let send_ipi t ~target ipi =
-  let c = ctx t target in
-  (if Nkinject.fire_opt t.inject Nkinject.Ipi_drop then ()
-   else if Nkinject.fire_opt t.inject Nkinject.Ipi_delay then begin
-     Queue.push ipi c.delayed;
-     if ipi = Reschedule then c.halted <- false (* level-triggered wake *)
-   end
-   else deliver t c ipi);
+  post t (ctx t target) ipi;
   (* An explicit cross-CPU IPI costs a real interrupt on the sender's
      side whether or not delivery succeeds; broadcast shootdowns
      charge theirs at the flush site. *)
   Machine.charge t.machine t.machine.Machine.costs.Costs.ipi_shootdown
 
-let drain_ipis t id =
-  let c = ctx t id in
-  let drained = List.rev (Queue.fold (fun acc i -> i :: acc) [] c.mailbox) in
-  Queue.clear c.mailbox;
-  List.iter (function Halt -> c.halted <- true | Reschedule | Shootdown -> ()) drained;
-  (* Injected-delay IPIs land now, after this drain collected the
-     mailbox — visible one drain later than an undelayed send. *)
-  Queue.iter (fun ipi -> deliver t c ipi) c.delayed;
-  Queue.clear c.delayed;
-  drained
-
-(* Same drain without materializing the drained list — the executor
-   runs this every scheduling step and discards the contents anyway. *)
+(* The executor runs this every scheduling step and discards what it
+   drained, so it materializes nothing. *)
 let drain_ipis_quiet t id =
   let c = ctx t id in
   Queue.iter
     (function Halt -> c.halted <- true | Reschedule | Shootdown -> ())
     c.mailbox;
   Queue.clear c.mailbox;
+  (* Injected-delay IPIs land now, after this drain collected the
+     mailbox — visible one drain later than an undelayed send. *)
   Queue.iter (fun ipi -> deliver t c ipi) c.delayed;
   Queue.clear c.delayed
+
+let drain_ipis t id =
+  let drained = List.of_seq (Queue.to_seq (ctx t id).mailbox) in
+  drain_ipis_quiet t id;
+  drained
 
 let set_inject t inj = t.inject <- inj
 let pending_delayed t id = Queue.length (ctx t id).delayed
@@ -247,22 +243,14 @@ module Executor = struct
 
   let create smp policy =
     let seed = match policy with Round_robin -> 0 | Seeded s -> s in
-    (* golden-ratio scramble so nearby seeds diverge immediately; the
-       xorshift below never escapes 0, so map it away *)
-    let state = ((seed * 0x9E3779B9) lxor 0x5DEECE66D) land max_int in
-    let state = if state = 0 then 0x2545F4914F6CDD1D else state in
-    { smp; policy; rr_next = 0; prng = state; steps = 0 }
+    { smp; policy; rr_next = 0; prng = Nkinject.scramble seed; steps = 0 }
 
-  (* Pure-integer xorshift over OCaml's 63-bit ints: the whole
-     interleaving is a function of the seed alone, so a run is
-     reproducible bit-for-bit from [--sched-seed]. *)
+  (* Pure-integer xorshift: the whole interleaving is a function of
+     the seed alone, so a run is reproducible bit-for-bit from
+     [--sched-seed]. *)
   let next_rand e =
-    let x = e.prng in
-    let x = (x lxor (x lsl 13)) land max_int in
-    let x = x lxor (x lsr 7) in
-    let x = (x lxor (x lsl 17)) land max_int in
-    e.prng <- x;
-    x
+    e.prng <- Nkinject.xorshift e.prng;
+    e.prng
 
   let live_count e =
     let n = ref 0 in

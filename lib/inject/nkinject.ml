@@ -74,6 +74,17 @@ type t = {
   mutable trace : Nktrace.t option;
 }
 
+(* Golden-ratio multiply so nearby seeds diverge immediately; the
+   xorshift never escapes 0, so map it away. *)
+let scramble seed =
+  let state = ((seed * 0x9E3779B9) lxor 0x5DEECE66D) land max_int in
+  if state = 0 then 0x2545F4914F6CDD1D else state
+
+let xorshift x =
+  let x = (x lxor (x lsl 13)) land max_int in
+  let x = x lxor (x lsr 7) in
+  (x lxor (x lsl 17)) land max_int
+
 (* The draw compares the low [resolution_bits] of the xorshift state
    against an integer threshold, so the fire/no-fire decision is exact
    integer arithmetic — identical on every platform for a given seed. *)
@@ -83,16 +94,12 @@ let resolution = 1 lsl resolution_bits
 let create ?(sites = all_sites) ~seed ~rate () =
   let rate = Float.max 0.0 (Float.min 1.0 rate) in
   let mask = List.fold_left (fun m s -> m lor (1 lsl index s)) 0 sites in
-  (* same scramble as Smp.Executor: golden-ratio multiply so nearby
-     seeds diverge immediately; xorshift never escapes 0, map it away *)
-  let state = ((seed * 0x9E3779B9) lxor 0x5DEECE66D) land max_int in
-  let state = if state = 0 then 0x2545F4914F6CDD1D else state in
   {
     seed;
     rate;
     mask;
     threshold = int_of_float (rate *. float_of_int resolution);
-    prng = state;
+    prng = scramble seed;
     armed = true;
     injected = Array.make nsites 0;
     decisions = Array.make nsites 0;
@@ -107,12 +114,8 @@ let set_armed t b = t.armed <- b
 let set_trace t tr = t.trace <- tr
 
 let next_rand t =
-  let x = t.prng in
-  let x = (x lxor (x lsl 13)) land max_int in
-  let x = x lxor (x lsr 7) in
-  let x = (x lxor (x lsl 17)) land max_int in
-  t.prng <- x;
-  x
+  t.prng <- xorshift t.prng;
+  t.prng
 
 let fire t s =
   if (not t.armed) || t.mask land (1 lsl index s) = 0 then false

@@ -41,6 +41,16 @@ val site_name : site -> string
 
 val site_of_name : string -> site option
 
+val scramble : int -> int
+(** The initial state of the simulator's seeded xorshift for a seed:
+    a golden-ratio multiply, so nearby seeds diverge at once, never 0
+    (a fixed point of {!xorshift}).  The injector, the SMP executor
+    and the fault soak's operation mix all seed their streams with
+    it. *)
+
+val xorshift : int -> int
+(** One 13/7/17 xorshift step over the non-negative ints. *)
+
 type t
 
 val create : ?sites:site list -> seed:int -> rate:float -> unit -> t

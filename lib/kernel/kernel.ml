@@ -466,6 +466,17 @@ let exit_proc t (p : Proc.t) code =
   ignore (Proclist.set_state t.allproc ~node:p.Proc.node_va 1);
   Machine.count_ev t.machine Nktrace.Exit
 
+(* Reap a zombie: drop it from allproc, the shadow list and the
+   process table, and log the exit as legitimate. *)
+let reap t (p : Proc.t) =
+  p.Proc.pstate <- Proc.Reaped;
+  ignore (Proclist.remove t.allproc ~node:p.Proc.node_va);
+  (match t.shadow with
+  | Some s -> ignore (Shadow_proc.on_remove s p.Proc.pid)
+  | None -> ());
+  t.legit_exits <- p.Proc.pid :: t.legit_exits;
+  Hashtbl.remove t.procs p.Proc.pid
+
 let wait_proc t (parent : Proc.t) =
   Machine.charge t.machine cost_proc_reap;
   let zombie =
@@ -482,13 +493,7 @@ let wait_proc t (parent : Proc.t) =
   match zombie with
   | None -> Error Ktypes.Echild
   | Some child ->
-      child.Proc.pstate <- Proc.Reaped;
-      ignore (Proclist.remove t.allproc ~node:child.Proc.node_va);
-      (match t.shadow with
-      | Some s -> ignore (Shadow_proc.on_remove s child.Proc.pid)
-      | None -> ());
-      t.legit_exits <- child.Proc.pid :: t.legit_exits;
-      Hashtbl.remove t.procs child.Proc.pid;
+      reap t child;
       Ok child.Proc.pid
 
 (* Full tenant teardown, host-driven: exit and reap every process the
@@ -511,15 +516,7 @@ let destroy_domain t ~domain =
     List.iter
       (fun (p : Proc.t) ->
         if p.Proc.pstate = Proc.Running then exit_proc t p 0;
-        if p.Proc.pstate = Proc.Zombie then begin
-          p.Proc.pstate <- Proc.Reaped;
-          ignore (Proclist.remove t.allproc ~node:p.Proc.node_va);
-          (match t.shadow with
-          | Some s -> ignore (Shadow_proc.on_remove s p.Proc.pid)
-          | None -> ());
-          t.legit_exits <- p.Proc.pid :: t.legit_exits;
-          Hashtbl.remove t.procs p.Proc.pid
-        end)
+        if p.Proc.pstate = Proc.Zombie then reap t p)
       victims;
     Hashtbl.remove t.domain_tokens domain;
     match t.nk with

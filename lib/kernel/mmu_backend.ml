@@ -39,86 +39,32 @@ let native (m : Machine.t) =
   (* Same clean-pair discipline as the vMMU keeps, tracked here since
      there is no nested kernel to do it. *)
   let pcid_roots : (int, Addr.frame) Hashtbl.t = Hashtbl.create 8 in
-  (* Every root this backend ever loaded.  The currently live CR3 root
-     (installed during boot, before the backend saw any load) is
-     consulted separately. *)
-  let roots_seen : (Addr.frame, unit) Hashtbl.t = Hashtbl.create 8 in
-  (* Leaf-table frame -> (root, base vpage) — where a PT was last
-     found in a tree, re-verified by a three-entry walk before use. *)
-  let pt_bases : (Addr.frame, Addr.frame * int) Hashtbl.t = Hashtbl.create 64 in
-  let valid f = Phys_mem.valid_frame m.Machine.mem f in
-  let table_child frame i =
-    let e = Page_table.get_entry m.Machine.mem ~ptp:frame ~index:i in
-    if Pte.is_present e && (not (Pte.is_large e)) && valid (Pte.frame e) then
-      Some (Pte.frame e)
-    else None
+  (* What a stock pmap knows of its own tables for free: the level
+     each live table was declared at, and the (parent, index) entry
+     that last linked each table from a table declared at level 2 or
+     above.  Links follow the entries themselves, so a retired table
+     keeps its link until the entry holding it is rewritten. *)
+  let levels : (Addr.frame, int) Hashtbl.t = Hashtbl.create 64 in
+  let links : (Addr.frame, Addr.frame * int) Hashtbl.t = Hashtbl.create 64 in
+  let level_of frame = Option.value ~default:0 (Hashtbl.find_opt levels frame) in
+  let child e =
+    if Pte.is_present e && not (Pte.is_large e) then Some (Pte.frame e) else None
   in
-  let idx base l = (base lsr (9 * l)) land (Addr.entries_per_table - 1) in
-  let verify root ptp base =
-    match table_child root (idx base 3) with
-    | None -> false
-    | Some pdpt -> (
-        match table_child pdpt (idx base 2) with
-        | None -> false
-        | Some pd -> (
-            match table_child pd (idx base 1) with
-            | None -> false
-            | Some pt -> pt = ptp))
-  in
-  let exception Found of int in
-  (* Depth-first over one tree for [ptp] used as a level-1 table; the
-     visited set survives self-referential table cycles. *)
-  let find_pt_base root ptp =
-    let visited = Hashtbl.create 64 in
-    let rec scan level frame base =
-      if not (Hashtbl.mem visited frame) then begin
-        Hashtbl.add visited frame ();
-        let child_span = 1 lsl (9 * (level - 1)) in
-        for i = 0 to Addr.entries_per_table - 1 do
-          match table_child frame i with
-          | None -> ()
-          | Some child ->
-              let child_base = base + (i * child_span) in
-              if level = 2 then begin
-                if child = ptp then raise (Found child_base)
-              end
-              else scan (level - 1) child child_base
-        done
-      end
-    in
-    match scan 4 root 0 with () -> None | exception Found b -> Some b
-  in
-  (* The root and base vpage [ptp] translates from, if it is a live
-     level-1 table.  Host-side bookkeeping only — a real native kernel
-     knows the VA of its own PTE writes for free, so no cycles are
-     charged. *)
+  (* The root and base vpage [ptp] translates from, if it is a declared
+     level-1 table: climb the recorded links through parents declared
+     exactly one level up until a declared root.  Host-side bookkeeping
+     only — a real native kernel knows the VA of its own PTE writes for
+     free, so no cycles are charged. *)
   let locate_leaf_table ptp =
-    let roots =
-      let live =
-        if Cr.paging_enabled m.Machine.cr then [ Cr.root_frame m.Machine.cr ]
-        else []
-      in
-      Hashtbl.fold (fun r () acc -> r :: acc) roots_seen live
-      |> List.filter valid
-      |> List.sort_uniq compare
+    let rec climb frame level base =
+      if level = 4 then Some (frame, base)
+      else
+        match Hashtbl.find_opt links frame with
+        | Some (parent, index) when level_of parent = level + 1 ->
+            climb parent (level + 1) (base + (index lsl (9 * level)))
+        | _ -> None
     in
-    match Hashtbl.find_opt pt_bases ptp with
-    | Some (root, base) as found
-      when List.mem root roots && verify root ptp base ->
-        found
-    | _ -> (
-        let rec try_roots = function
-          | [] ->
-              Hashtbl.remove pt_bases ptp;
-              None
-          | r :: rest -> (
-              match find_pt_base r ptp with
-              | Some base ->
-                  Hashtbl.replace pt_bases ptp (r, base);
-                  Some (r, base)
-              | None -> try_roots rest)
-        in
-        try_roots roots)
+    if level_of ptp = 1 then climb ptp 1 0 else None
   in
   let load_cr3 frame =
     m.Machine.cr.Cr.cr3 <- Addr.pa_of_frame frame;
@@ -126,7 +72,6 @@ let native (m : Machine.t) =
     Machine.flush_full m;
     Hashtbl.reset pcid_roots;
     Hashtbl.replace pcid_roots 0 frame;
-    Hashtbl.replace roots_seen frame ();
     Machine.note_asid_active m;
     Machine.count_ev m Nktrace.Load_cr3;
     Ok ()
@@ -146,7 +91,6 @@ let native (m : Machine.t) =
              old address space under the recycled tag. *)
           Machine.shootdown_asid m ~asid:pcid;
           Hashtbl.replace pcid_roots pcid frame);
-      Hashtbl.replace roots_seen frame ();
       Machine.note_asid_active m;
       Machine.count_ev m Nktrace.Load_cr3_pcid;
       Ok ()
@@ -157,6 +101,13 @@ let native (m : Machine.t) =
     Page_table.set_entry m.Machine.mem ~ptp ~index pte;
     Machine.charge m costs.Costs.mem_insn;
     Machine.count_ev m Nktrace.Pte_write;
+    if level_of ptp >= 2 then begin
+      (match child old with
+      | Some c when Hashtbl.find_opt links c = Some (ptp, index) ->
+          Hashtbl.remove links c
+      | _ -> ());
+      Option.iter (fun c -> Hashtbl.replace links c (ptp, index)) (child pte)
+    end;
     if is_downgrade ~old ~fresh:pte then begin
       (* A downgraded level-1 leaf in a live tree gets the targeted
          single-page flush a stock kernel would issue for the VA it
@@ -183,10 +134,8 @@ let native (m : Machine.t) =
     name = "native";
     declare_ptp =
       (fun ~level frame ->
-        (* A level-4 declare is a new tree root; remember it so leaf
-           positions in not-yet-loaded address spaces are locatable. *)
-        if level = 4 then Hashtbl.replace roots_seen frame ();
         Phys_mem.zero_frame m.Machine.mem frame;
+        Hashtbl.replace levels frame level;
         Machine.charge m costs.Costs.page_zero;
         Machine.count_ev m Nktrace.Declare_ptp;
         Ok ());
@@ -194,8 +143,7 @@ let native (m : Machine.t) =
     write_pte_batch = split write_pte;
     remove_ptp =
       (fun frame ->
-        Hashtbl.remove pt_bases frame;
-        Hashtbl.remove roots_seen frame;
+        Hashtbl.remove levels frame;
         Ok ());
     load_cr3;
     load_cr3_pcid;

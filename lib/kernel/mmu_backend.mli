@@ -23,9 +23,10 @@ type t = {
     ptp:Addr.frame -> index:int -> Pte.t -> (unit, Nested_kernel.Nk_error.t) result;
       (** Update one page-table entry.  There is no VA hint: the
           nested backend derives the shootdown scope of a downgrade
-          from the vMMU's reverse maps, and the native backend locates
-          the entry in its own page tables (as a real kernel knows the
-          VA of its own PTE writes). *)
+          from the vMMU's reverse maps, and the native backend from
+          the table links its own writes recorded (as a real kernel
+          knows the VA of its own PTE writes), never from a search of
+          its page tables. *)
   write_pte_batch :
     (Addr.frame * int * Pte.t) list -> (unit, Nested_kernel.Nk_error.t) result;
       (** Apply the tuples in order.  A rejected tuple stops the batch
@@ -45,11 +46,14 @@ type t = {
 }
 
 val native : Machine.t -> t
-(** Unmediated: raw entry stores with normal TLB maintenance costs.  A
-    protection downgrade of a live level-1 leaf is followed by the
-    targeted single-page flush a stock kernel issues (the VA is
-    recovered from the backend's own page tables at zero simulated
-    cost); other downgrades broadcast-flush. *)
+(** Unmediated: raw entry stores with normal TLB maintenance costs.
+    Like a stock pmap, the backend knows each table's declared level
+    (until [remove_ptp]) and the entry that last linked it.  A
+    protection downgrade in a level-1 table whose links climb, one
+    declared level at a time, to a declared root gets the targeted
+    single-page flush at the VA the climb adds up, scoped to the tags
+    bound to that root, at zero simulated cost; every other downgrade
+    broadcast-flushes. *)
 
 val nested : batched:bool -> Nested_kernel.State.t -> t
 (** Every operation crosses the nested-kernel gates.  With [~batched],

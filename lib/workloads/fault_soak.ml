@@ -19,20 +19,6 @@ type result = {
   cycles : int;
 }
 
-(* Deterministic op-schedule PRNG — the same xorshift family as the
-   SMP executor and the injector, but a distinct stream: the schedule
-   of operations must not move when injection sites or rates change,
-   or two runs stop being comparable. *)
-let mix_seed seed = ((seed * 0x9E3779B9) lxor 0x5DEECE66D) land max_int
-
-let next_rand state =
-  let x = !state in
-  let x = x lxor (x lsl 13) land max_int in
-  let x = x lxor (x lsr 7) in
-  let x = x lxor (x lsl 17) land max_int in
-  state := x;
-  x
-
 let run ?(ops = 20000) ?(rate = 0.01) ?(sites = Nkinject.all_sites)
     ?(frames = 4096) ~seed () =
   let inj = Nkinject.create ~sites ~seed ~rate () in
@@ -115,12 +101,14 @@ let run ?(ops = 20000) ?(rate = 0.01) ?(sites = Nkinject.all_sites)
         | Ok () -> Ok 0
         | Error _ -> Error Ktypes.Enomem)
   in
-  let state = ref (let s = mix_seed (seed lxor 0x5bd1e995) in
-                   if s = 0 then 0x2545F4914F6CDD1D else s)
-  in
+  (* The op schedule is the injector's xorshift under a distinct seed:
+     it must not move when injection sites or rates change, or two
+     runs stop being comparable. *)
+  let state = ref (Nkinject.scramble (seed lxor 0x5bd1e995)) in
   for _ = 1 to ops do
+    state := Nkinject.xorshift !state;
     guard
-      (match next_rand state mod 11 with
+      (match !state mod 11 with
       | 0 | 1 | 2 -> (fun () -> Syscalls.getpid k p)
       | 3 | 4 -> open_close
       | 5 -> mmap_op ~pages:8 ~rw:true ~touch:true

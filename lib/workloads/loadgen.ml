@@ -57,6 +57,10 @@ type t = {
   mutable failed_connects : int;
 }
 
+(* Not [Nkinject.xorshift]: this stream masks only after the last
+   shift and seeds without [Nkinject.scramble], and it feeds every
+   serving figure, so moving to the shared step would change them
+   all. *)
 let rand t bound =
   let x = t.rng in
   let x = x lxor (x lsl 13) in

@@ -59,6 +59,10 @@ let test_native_backend_semantics () =
     (b.Mmu_backend.write_pte ~ptp:f ~index:0
        (Pte.make ~frame:1 Pte.kernel_rw))
 
+(* (full, page) TLB flushes counted since [w] opened. *)
+let flushes w =
+  (Window.count w Nktrace.Tlb_flush_full, Window.count w Nktrace.Tlb_flush_page)
+
 let test_native_backend_tlb_maintenance () =
   let k = Helpers.kernel Config.Native in
   let m = k.Kernel.machine in
@@ -71,10 +75,103 @@ let test_native_backend_tlb_maintenance () =
        (Pte.make ~frame:(f + 1) Pte.user_rw_nx));
   Tlb.insert m.Machine.tlb ~asid:0 ~vpage:(Addr.vpage va)
     { Tlb.frame = f + 1; writable = true; user = true; nx = true; global = false };
+  let w = Window.start m in
   Helpers.check_ok "unmap (downgrade)"
     (b.Mmu_backend.write_pte ~ptp:f ~index:0 Pte.empty);
   Alcotest.(check bool) "stale entry flushed" true
-    (Tlb.lookup m.Machine.tlb ~asid:0 ~vpage:(Addr.vpage va) = None)
+    (Tlb.lookup m.Machine.tlb ~asid:0 ~vpage:(Addr.vpage va) = None);
+  Alcotest.(check (pair int int)) "unlinked table: full flush, no page flush"
+    (1, 0) (flushes w)
+
+let mmap_populated k p ~pages =
+  match Syscalls.mmap k p ~len:(pages * Addr.page_size) ~rw:true ~populate:true () with
+  | Ok va -> va
+  | Error e -> Alcotest.failf "mmap: %s" (Ktypes.errno_to_string e)
+
+(* The level-[level] table on [va]'s path down from [root]. *)
+let table_on_path (m : Machine.t) root va ~level =
+  let rec go ptp l =
+    if l = level then ptp
+    else
+      let index = Addr.index_at_level ~level:l va in
+      go (Pte.frame (Page_table.get_entry m.Machine.mem ~ptp ~index)) (l - 1)
+  in
+  go root 4
+
+let cached (tlb : Tlb.t) va = Tlb.holds_span tlb ~vpage:(Addr.vpage va) ~count:1
+
+(* CPU 1 runs the process and caches a page of a populated mmap; CPU 0
+   unmaps it.  The native backend climbs the links its own writes
+   recorded to the page's VA and flushes just that page, peer
+   included. *)
+let test_native_munmap_flushes_peer_page () =
+  let k = Os.boot ~frames:4096 ~cpus:2 Config.Native in
+  let p = Kernel.current_proc k in
+  let va = mmap_populated k p ~pages:1 in
+  Smp.with_cpu k.Kernel.smp 1 (fun () ->
+      Helpers.check_ok_errno "run on CPU 1" (Kernel.switch_to k p.Proc.pid);
+      Helpers.check_ok_errno "touch on CPU 1" (Kernel.touch_user k p va Fault.Read));
+  let peer = (Smp.ctx k.Kernel.smp 1).Smp.tlb in
+  Alcotest.(check bool) "CPU 1 caches the page" true (cached peer va);
+  let w = Window.start k.Kernel.machine in
+  Helpers.check_ok_errno "munmap on CPU 0" (Syscalls.munmap k p va);
+  Alcotest.(check bool) "peer entry gone" false (cached peer va);
+  Alcotest.(check (pair int int)) "one page flush, no full flush" (0, 1)
+    (flushes w)
+
+(* Two populated pages in one leaf table of the native init process:
+   the machine, the backend, the first page's VA, the table and its
+   PD. *)
+let native_leaf_table () =
+  let k = Helpers.kernel Config.Native in
+  let m = k.Kernel.machine in
+  let p = Kernel.current_proc k in
+  let va = mmap_populated k p ~pages:2 in
+  let root = p.Proc.vm.Vmspace.root in
+  let pt = table_on_path m root va ~level:1 in
+  Alcotest.(check int) "both pages in one table" pt
+    (table_on_path m root (va + Addr.page_size) ~level:1);
+  (m, k.Kernel.backend, va, pt, table_on_path m root va ~level:2)
+
+(* Downgrade entry [index] of [pt] and count (full, page) flushes. *)
+let downgrade (m : Machine.t) b ~pt ~index =
+  let w = Window.start m in
+  Helpers.check_ok "downgrade" (b.Mmu_backend.write_pte ~ptp:pt ~index Pte.empty);
+  flushes w
+
+(* A leaf table is found where the link that placed it says: unlinked
+   from its PD it falls back to a full flush, and relinked at another
+   PD slot it flushes the page at its new VA. *)
+let test_native_relinked_leaf_table () =
+  let m, b, va, pt, pd = native_leaf_table () in
+  let slot = Addr.index_at_level ~level:2 va and index = Addr.pt_index va in
+  let link = Page_table.get_entry m.Machine.mem ~ptp:pd ~index:slot in
+  Helpers.check_ok "unlink" (b.Mmu_backend.write_pte ~ptp:pd ~index:slot Pte.empty);
+  Alcotest.(check (pair int int)) "unlinked: full flush" (1, 0)
+    (downgrade m b ~pt ~index);
+  let slot' = slot + 1 in
+  Alcotest.(check bool) "PD slot free" false
+    (Pte.is_present (Page_table.get_entry m.Machine.mem ~ptp:pd ~index:slot'));
+  Helpers.check_ok "relink" (b.Mmu_backend.write_pte ~ptp:pd ~index:slot' link);
+  let va' =
+    va + Addr.page_size + ((slot' - slot) * Addr.entries_per_table * Addr.page_size)
+  in
+  Helpers.check_ok "touch at the new VA" (Machine.read_u8 m ~ring:Mmu.User va');
+  Alcotest.(check bool) "new VA cached" true (cached m.Machine.tlb va');
+  Alcotest.(check (pair int int)) "relinked: page flush" (0, 1)
+    (downgrade m b ~pt ~index:(index + 1));
+  Alcotest.(check bool) "new VA flushed" false (cached m.Machine.tlb va')
+
+(* A leaf table retired with remove_ptp is no longer located, even
+   while its PD entry still links it: the downgrade flushes
+   everything. *)
+let test_native_retired_leaf_table () =
+  let m, b, va, pt, _ = native_leaf_table () in
+  Helpers.check_ok "retire" (b.Mmu_backend.remove_ptp pt);
+  Helpers.check_ok "still mapped" (Machine.read_u8 m ~ring:Mmu.User va);
+  Alcotest.(check (pair int int)) "retired: full flush" (1, 0)
+    (downgrade m b ~pt ~index:(Addr.pt_index va));
+  Alcotest.(check bool) "entry flushed" false (cached m.Machine.tlb va)
 
 let test_nested_backend_validates () =
   let k = Helpers.kernel Config.Perspicuos in
@@ -185,6 +282,12 @@ let suite =
       test_native_backend_semantics;
     Alcotest.test_case "native backend TLB maintenance" `Quick
       test_native_backend_tlb_maintenance;
+    Alcotest.test_case "native munmap flushes the peer's page" `Quick
+      test_native_munmap_flushes_peer_page;
+    Alcotest.test_case "native locates a relinked leaf table" `Quick
+      test_native_relinked_leaf_table;
+    Alcotest.test_case "native forgets a retired leaf table" `Quick
+      test_native_retired_leaf_table;
     Alcotest.test_case "nested backend validates" `Quick
       test_nested_backend_validates;
     Alcotest.test_case "stage writes at once on native" `Quick
