@@ -393,10 +393,28 @@ let vocab_ops cfg u =
 
 type fp = int * int
 
+let fp_lane1 h x = (h lxor x) * 0x100000001b3 land max_int
+let fp_lane2 h x = ((h + x + 1) * 0x27d4eb2f165667c5 + 0x9e3779b9) land max_int
+
 let fp_mix (h1, h2) x =
   let x = x land max_int in
-  ( (h1 lxor x) * 0x100000001b3 land max_int,
-    ((h2 + x + 1) * 0x27d4eb2f165667c5 + 0x9e3779b9) land max_int )
+  (fp_lane1 h1 x, fp_lane2 h2 x)
+
+(* Folding the 512 zero words of an untouched frame is a fixed map on
+   each lane, mod 2^62: lane 1 is multiplied by P^512, lane 2 goes
+   through an affine map.  Folding one zero frame from 0 and from 1
+   reads the constants off, so a jump over such a frame gives the same
+   lanes as folding it word by word. *)
+let zero_frame_jump =
+  let fold lane h =
+    let h = ref h in
+    for _ = 1 to Addr.entries_per_table do
+      h := lane !h 0
+    done;
+    !h
+  in
+  let add2 = fold fp_lane2 0 in
+  (fold fp_lane1 1, (fold fp_lane2 1 - add2) land max_int, add2)
 
 let fp_bool h b = fp_mix h (if b then 1 else 0)
 let fp_list h f l = List.fold_left f (fp_mix h (List.length l)) l
@@ -444,16 +462,22 @@ let fingerprint (u : u) : fp =
   (* Bounded physical memory: the NK region, the playground, and the
      first pages of the large-leaf span — every frame any op writes.
      The words are [fp_mix]ed into two local ints, with no pair
-     allocated per word. *)
+     allocated per word; a frame no store has reached is jumped. *)
   let hi = u.f_large + 1 in
   if not (Phys_mem.valid_frame mem hi) then invalid_arg "Nkcheck.fingerprint";
+  let mul1, mul2, add2 = zero_frame_jump in
   let h1 = ref (fst !h) and h2 = ref (snd !h) in
   for frame = 0 to hi do
-    for index = 0 to Addr.entries_per_table - 1 do
-      let x = Phys_mem.read_table_word mem ~frame ~index land max_int in
-      h1 := (!h1 lxor x) * 0x100000001b3 land max_int;
-      h2 := ((!h2 + x + 1) * 0x27d4eb2f165667c5 + 0x9e3779b9) land max_int
-    done
+    if Phys_mem.untouched mem frame then begin
+      h1 := !h1 * mul1 land max_int;
+      h2 := ((!h2 * mul2) + add2) land max_int
+    end
+    else
+      for index = 0 to Addr.entries_per_table - 1 do
+        let x = Phys_mem.read_table_word mem ~frame ~index land max_int in
+        h1 := fp_lane1 !h1 x;
+        h2 := fp_lane2 !h2 x
+      done
   done;
   h := (!h1, !h2);
   (* Per-CPU architectural state. *)

@@ -236,38 +236,56 @@ let mutation_stamp (m : Machine.t) =
   done;
   !s + Array.length peers
 
+(* Clean verdicts the oracle reuses, one record per CPU id.  A clean
+   verdict can only be invalidated by a store (possibly to a PTE), a
+   TLB fill or flush (the protocol flushes before every rebinding, so
+   resolver changes are always preceded by one), a root/ASID switch,
+   or a CPU coming online, and every one of those moves the stamp or
+   the stored registers.  [audit_*] hold the stamp, root and ASID of
+   the CPU's last clean full audit: while they match, the full audit
+   and every targeted check are no-ops.  [va_*] hold the same for its
+   last clean targeted check, plus the page: while they match, a
+   targeted check of that page would compare the same TLB entry
+   against the same tables.  The records are per CPU because a CPU
+   switch swaps TLBs without moving the stamp's sum.  Only verdicts
+   reached with paging on and no deferred exemption are kept: a
+   deferred exemption is only as durable as the queue entry behind
+   it. *)
+type memo = {
+  mutable audit_stamp : int;
+  mutable audit_root : int;
+  mutable audit_asid : int;
+  mutable va_stamp : int;
+  mutable va_root : int;
+  mutable va_asid : int;
+  mutable va_page : int;
+}
+
+let no_memo () =
+  {
+    audit_stamp = min_int;
+    audit_root = -1;
+    audit_asid = -1;
+    va_stamp = min_int;
+    va_root = -1;
+    va_asid = -1;
+    va_page = -1;
+  }
+
 let enable ?root_of_asid ?deferred ?on_violation (m : Machine.t) =
   let checking = ref false in
-  (* Clean-audit cache, one slot per CPU id: the mutation stamp, root
-     and ASID under which that CPU's last full audit came back clean
-     and exemption-free.  While they all still match, both the full
-     audit and the per-access targeted check are provably no-ops — a
-     clean verdict can only be invalidated by a store (possibly to a
-     PTE), a TLB fill or flush (the protocol flushes before every
-     rebinding, so resolver changes are always preceded by one), a
-     root/ASID switch, or a CPU coming online, and every one of those
-     moves the stamp or the stored registers.  A clean-but-exempted
-     audit is never cached: a deferred exemption is only as durable as
-     the queue entry behind it. *)
-  let cap = ref 8 in
-  let cstamp = ref (Array.make !cap min_int) in
-  let croot = ref (Array.make !cap (-1)) in
-  let casid = ref (Array.make !cap (-1)) in
-  let ensure cpu =
-    if cpu >= !cap then begin
-      let n = ref (!cap * 2) in
+  let memos = ref (Array.init 8 (fun _ -> no_memo ())) in
+  let memo cpu =
+    let a = !memos in
+    if cpu < Array.length a then a.(cpu)
+    else begin
+      let n = ref (2 * Array.length a) in
       while cpu >= !n do
         n := !n * 2
       done;
-      let grow a d =
-        let b = Array.make !n d in
-        Array.blit !a 0 b 0 !cap;
-        a := b
-      in
-      grow cstamp min_int;
-      grow croot (-1);
-      grow casid (-1);
-      cap := !n
+      memos :=
+        Array.init !n (fun i -> if i < Array.length a then a.(i) else no_memo ());
+      (!memos).(cpu)
     end
   in
   let exempt = ref false in
@@ -287,36 +305,42 @@ let enable ?root_of_asid ?deferred ?on_violation (m : Machine.t) =
        exit fires a full check.  The guard also stops the oracle from
        auditing its own resolver's reads. *)
     if (not !checking) && not m.Machine.in_nested_kernel then begin
-      let cpu = m.Machine.cur_cpu in
-      ensure cpu;
+      let c = memo m.Machine.cur_cpu in
       let stamp = mutation_stamp m in
       let root = Cr.root_frame m.Machine.cr in
       let asid = Cr.asid m.Machine.cr in
+      let vpage = if va >= 0 then Addr.vpage va else -1 in
       if
         not
-          ((!cstamp).(cpu) = stamp
-          && (!croot).(cpu) = root
-          && (!casid).(cpu) = asid)
+          ((c.audit_stamp = stamp && c.audit_root = root && c.audit_asid = asid)
+          || va >= 0
+             && c.va_stamp = stamp
+             && c.va_root = root
+             && c.va_asid = asid
+             && c.va_page = vpage)
       then begin
         checking := true;
         (* Hand-rolled Fun.protect: the hook fires after every access
            on a fuzzing run, and the two closures Fun.protect builds
            per call are measurable there. *)
         (try
+           exempt := false;
            (let vs =
               if va >= 0 then check_va ?deferred ~op m va
-              else begin
-                exempt := false;
-                let vs = check_machine ?root_of_asid ?deferred ~op m in
-                if vs = [] && not !exempt then begin
-                  (!cstamp).(cpu) <- stamp;
-                  (!croot).(cpu) <- root;
-                  (!casid).(cpu) <- asid
-                end
-                else (!cstamp).(cpu) <- min_int;
-                vs
-              end
+              else check_machine ?root_of_asid ?deferred ~op m
             in
+            if vs = [] && (not !exempt) && Cr.paging_enabled m.Machine.cr then
+              if va >= 0 then begin
+                c.va_stamp <- stamp;
+                c.va_root <- root;
+                c.va_asid <- asid;
+                c.va_page <- vpage
+              end
+              else begin
+                c.audit_stamp <- stamp;
+                c.audit_root <- root;
+                c.audit_asid <- asid
+              end;
             if vs <> [] then
               match on_violation with
               | Some f -> f vs

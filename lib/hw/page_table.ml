@@ -21,31 +21,35 @@ let get_entry mem ~ptp ~index = Phys_mem.read_u64 mem (entry_pa ~ptp ~index)
 let set_entry mem ~ptp ~index pte =
   Phys_mem.write_u64 mem (entry_pa ~ptp ~index) pte
 
+(* A table outside memory ends the walk as unmapped, so the MMU
+   reports a not-present fault where a stray CR3 or link points. *)
 let walk mem ~root va =
   let rec go ptp level ~writable ~user ~nx =
-    let index = Addr.index_at_level ~level va in
-    let pte = get_entry mem ~ptp ~index in
-    if not (Pte.is_present pte) then Not_mapped { level }
+    if not (Phys_mem.valid_frame mem ptp) then Not_mapped { level }
     else
-      let writable = writable && Pte.is_writable pte in
-      let user = user && Pte.is_user pte in
-      let nx = nx || Pte.is_nx pte in
-      let leaf () =
-        Mapped
-          {
-            frame = Pte.frame pte;
-            writable;
-            user;
-            nx;
-            global = Pte.is_global pte;
-            level;
-            leaf_ptp = ptp;
-            leaf_index = index;
-          }
-      in
-      if level = 1 then leaf ()
-      else if Pte.is_large pte && level = 2 then leaf ()
-      else go (Pte.frame pte) (level - 1) ~writable ~user ~nx
+      let index = Addr.index_at_level ~level va in
+      let pte = Phys_mem.read_table_word mem ~frame:ptp ~index in
+      if not (Pte.is_present pte) then Not_mapped { level }
+      else
+        let writable = writable && Pte.is_writable pte in
+        let user = user && Pte.is_user pte in
+        let nx = nx || Pte.is_nx pte in
+        let leaf () =
+          Mapped
+            {
+              frame = Pte.frame pte;
+              writable;
+              user;
+              nx;
+              global = Pte.is_global pte;
+              level;
+              leaf_ptp = ptp;
+              leaf_index = index;
+            }
+        in
+        if level = 1 then leaf ()
+        else if Pte.is_large pte && level = 2 then leaf ()
+        else go (Pte.frame pte) (level - 1) ~writable ~user ~nx
   in
   go root 4 ~writable:true ~user:true ~nx:false
 
@@ -61,13 +65,16 @@ let translate mem ~root va =
       in
       Some (Addr.pa_of_frame w.frame lor (va land ((1 lsl page_bits) - 1)))
 
+(* Each table is validated once, so its 512 words are read unchecked;
+   a table outside memory is not walked (an entry linking one is still
+   passed to [f]). *)
 let iter_tree mem ~root f =
   let visited = Hashtbl.create 64 in
   let rec table ptp level =
-    if not (Hashtbl.mem visited ptp) then begin
+    if Phys_mem.valid_frame mem ptp && not (Hashtbl.mem visited ptp) then begin
       Hashtbl.replace visited ptp ();
       for index = 0 to Addr.entries_per_table - 1 do
-        let pte = get_entry mem ~ptp ~index in
+        let pte = Phys_mem.read_table_word mem ~frame:ptp ~index in
         if Pte.is_present pte then begin
           f ~ptp ~index ~level pte;
           let leaf = level = 1 || (level = 2 && Pte.is_large pte) in

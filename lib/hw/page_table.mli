@@ -30,7 +30,9 @@ val set_entry : Phys_mem.t -> ptp:Addr.frame -> index:int -> Pte.t -> unit
 
 val walk : Phys_mem.t -> root:Addr.frame -> Addr.va -> result
 (** Walk the tree for [va].  Large (2 MiB) pages terminate the walk at
-    level 2 with [PS] set. *)
+    level 2 with [PS] set.  A table outside physical memory ends the
+    walk as [Not_mapped] at its level, as the coherence oracle's
+    reference walker treats it. *)
 
 val translate : Phys_mem.t -> root:Addr.frame -> Addr.va -> Addr.pa option
 (** Physical address for [va], ignoring permissions. *)
@@ -41,7 +43,10 @@ val iter_tree :
   (ptp:Addr.frame -> index:int -> level:int -> Pte.t -> unit) ->
   unit
 (** Visit every present entry of the translation tree rooted at [root]
-    (both halves, all levels), guarding against cycles. *)
+    (both halves, all levels), guarding against cycles.  A table
+    outside physical memory is not walked: a root outside it visits
+    nothing, and an entry linking such a table is passed to the
+    callback without descending into it. *)
 
 val iter_user_leaves :
   Phys_mem.t ->

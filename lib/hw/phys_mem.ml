@@ -221,6 +221,11 @@ let frame_pa t f =
   check t pa Addr.page_size;
   pa
 
+(* A frame is one chunk, so a frame whose entry is still [zero_chunk]
+   has never been stored into.  Zeroing a frame keeps the chunk it
+   owns, so only never-written frames qualify. *)
+let untouched t f = chunk t (frame_pa t f) == zero_chunk
+
 let clear t pa =
   let b = chunk t pa in
   if b != zero_chunk then Bytes.fill b (pa land chunk_mask) Addr.page_size '\000'

@@ -52,5 +52,13 @@ val blit_from_bytes : bytes -> int -> t -> Addr.pa -> int -> unit
 val zero_frame : t -> Addr.frame -> unit
 val frame_copy : t -> src:Addr.frame -> dst:Addr.frame -> unit
 
+val untouched : t -> Addr.frame -> bool
+(** [untouched t f]: no store has written a byte of frame [f], which
+    therefore reads all zeros.  Zeroing an untouched frame, or copying
+    an untouched frame onto it, keeps it untouched; any other store
+    into it, of zeros included, does not, and zeroing a written frame
+    does not make it untouched again.  Raises [Invalid_argument] for a
+    frame outside memory. *)
+
 val valid_pa : t -> Addr.pa -> bool
 val valid_frame : t -> Addr.frame -> bool

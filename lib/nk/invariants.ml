@@ -23,9 +23,13 @@ let audit (st : State.t) =
   if not (Cr.smep_enabled m.Machine.cr) then fail "CI" "CR4.SMEP clear";
   if not (Cr.nx_enabled m.Machine.cr) then fail "CI" "EFER.NX clear";
   if m.Machine.cr.Cr.efer land Cr.efer_lme = 0 then fail "CI" "EFER.LME clear";
+  (* A raw store can name a frame past the end of memory, in CR3 or in
+     an entry; the descriptors cover exactly the frames that exist. *)
+  let exists f = f < Pgdesc.frames descs in
+  let ptp_level f = if exists f then Pgdesc.ptp_level descs f else None in
   (* I6: CR3 must point at a declared PML4. *)
   let root = Cr.root_frame m.Machine.cr in
-  (match Pgdesc.ptp_level descs root with
+  (match ptp_level root with
   | Some 4 -> ()
   | Some l -> fail "I6" "CR3 -> frame %d declared at level %d, not PML4" root l
   | None -> fail "I6" "CR3 -> frame %d is not a declared PTP" root);
@@ -39,7 +43,7 @@ let audit (st : State.t) =
         in
         for covered = target to target + span - 1 do
           if
-            covered < Pgdesc.frames descs
+            exists covered
             && Pgdesc.is_write_protected_type descs covered
             && Pte.is_writable pte
           then
@@ -48,20 +52,23 @@ let audit (st : State.t) =
               (Pgdesc.page_type descs covered)
               ptp index
         done;
-        (match Pgdesc.page_type descs target with
-        | Pgdesc.Outer_code when not (Pgdesc.is_validated descs target) ->
-            if not (Pte.is_nx pte) then
-              fail "CI" "executable mapping of unvalidated code frame %d" target
-        | Pgdesc.Outer_data | Pgdesc.Unused ->
-            if (not (Pte.is_nx pte)) && not (Pte.is_user pte) then
-              fail "CI" "executable supervisor mapping of data frame %d" target
-        | _ -> ());
+        if exists target then begin
+          match Pgdesc.page_type descs target with
+          | Pgdesc.Outer_code when not (Pgdesc.is_validated descs target) ->
+              if not (Pte.is_nx pte) then
+                fail "CI" "executable mapping of unvalidated code frame %d"
+                  target
+          | Pgdesc.Outer_data | Pgdesc.Unused ->
+              if (not (Pte.is_nx pte)) && not (Pte.is_user pte) then
+                fail "CI" "executable supervisor mapping of data frame %d" target
+          | _ -> ()
+        end;
         if Pte.is_writable pte && not (Pte.is_nx pte) then
           if not (Pte.is_user pte) then
             fail "CI" "writable+executable supervisor mapping of frame %d" target
       end
       else begin
-        match Pgdesc.ptp_level descs target with
+        match ptp_level target with
         | Some l when l = level - 1 -> ()
         | Some l ->
             fail "I4" "table link %d[%d] -> frame %d has level %d, expected %d"
@@ -72,7 +79,11 @@ let audit (st : State.t) =
       end;
       (* Reverse-map consistency. *)
       let kind = if leaf then Pgdesc.Data_map else Pgdesc.Table_link in
-      if not (Pgdesc.has_mapping descs target { Pgdesc.ptp; index; kind }) then
+      if
+        not
+          (exists target
+          && Pgdesc.has_mapping descs target { Pgdesc.ptp; index; kind })
+      then
         fail "RMAP" "entry %d[%d] -> frame %d missing from reverse map" ptp
           index target);
   (* I14: no PTE installed under one tenant domain reaches a frame
@@ -99,7 +110,7 @@ let audit (st : State.t) =
                 else 1
               in
               let check covered =
-                if covered < Pgdesc.frames descs then
+                if exists covered then
                   let fo = Pgdesc.owner descs covered in
                   if fo <> 0 && fo <> owner then
                     fail "I14"

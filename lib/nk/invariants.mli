@@ -20,7 +20,9 @@ val audit : State.t -> violation list
     plus code-integrity state (EFER.NX/LME, CR4.SMEP, no writable+
     executable supervisor page) and IOMMU coverage of every protected
     frame, and consistency of the descriptor reverse maps with the
-    hardware page tables. *)
+    hardware page tables.  A CR3 value or entry that names a frame
+    outside physical memory is reported (I6, I4, RMAP), never walked
+    or indexed. *)
 
 val audit_ok : State.t -> bool
 val pp_violation : Format.formatter -> violation -> unit

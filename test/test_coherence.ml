@@ -164,6 +164,73 @@ let test_violation_names_the_cpu () =
   Alcotest.(check (list int)) "targeted check names the active CPU" [ ap ]
     (cpus (Coherence.check_va m va))
 
+(* The oracle skips a targeted check whose clean verdict it already
+   holds for the same mutation stamp, CR3 root and ASID, page and CPU.
+   Each case below changes exactly one of root, ASID and CPU between a
+   clean check and a read served by a stale entry, with no store, fill
+   or flush in between, so the stamp alone would let the stale entry
+   through. *)
+let collecting m =
+  let seen = ref [] in
+  Coherence.enable ~on_violation:(fun vs -> seen := !seen @ vs) m;
+  seen
+
+let cached ~frame ~writable =
+  { Tlb.frame; writable; user = false; nx = true; global = false }
+
+let test_memo_keyed_on_root () =
+  let m, _, f0 = setup () in
+  let va = Addr.kva_of_frame f0 in
+  let bare = f0 + 40 in
+  Phys_mem.zero_frame m.Machine.mem bare;
+  let seen = collecting m in
+  Helpers.check_ok "checked clean" (Machine.kread_u64 m va);
+  Alcotest.(check int) "clean under the live root" 0 (List.length !seen);
+  (* A raw CR3 load to an empty root, same ASID, no flush. *)
+  m.Machine.cr.Cr.cr3 <- Addr.pa_of_frame bare;
+  Helpers.check_ok "served from the TLB" (Machine.kread_u64 m va);
+  Alcotest.(check int) "stale under the new root" 1 (List.length !seen)
+
+let test_memo_keyed_on_asid () =
+  let m, _, _ = setup () in
+  (* Frame 2 is nested-kernel memory, read-only in the tree. *)
+  let va = Addr.kva_of_frame 2 in
+  let vpage = Addr.vpage va and r = root m in
+  Tlb.flush_global_too m.Machine.tlb;
+  m.Machine.cr.Cr.cr4 <- m.Machine.cr.Cr.cr4 lor Cr.cr4_pcide;
+  m.Machine.cr.Cr.cr3 <- Cr.cr3_value ~frame:r ~pcid:1;
+  Tlb.insert m.Machine.tlb ~asid:1 ~vpage (cached ~frame:2 ~writable:false);
+  Tlb.insert m.Machine.tlb ~asid:2 ~vpage (cached ~frame:2 ~writable:true);
+  let seen = collecting m in
+  Helpers.check_ok "checked clean" (Machine.kread_u64 m va);
+  Alcotest.(check int) "clean under PCID 1" 0 (List.length !seen);
+  m.Machine.cr.Cr.cr3 <- Cr.cr3_value ~frame:r ~pcid:2;
+  Helpers.check_ok "served from the TLB" (Machine.kread_u64 m va);
+  Alcotest.(check int) "stale under PCID 2" 1 (List.length !seen)
+
+let test_memo_per_cpu () =
+  let m, _, _ = setup () in
+  let va = Addr.kva_of_frame 2 in
+  let vpage = Addr.vpage va and asid = Cr.asid m.Machine.cr in
+  let tlb0 = m.Machine.tlb and tlb1 = Tlb.create () in
+  Tlb.flush_global_too tlb0;
+  Tlb.insert tlb0 ~asid ~vpage (cached ~frame:2 ~writable:false);
+  Tlb.insert tlb1 ~asid ~vpage (cached ~frame:2 ~writable:true);
+  m.Machine.peer_tlbs <- [| tlb1 |];
+  m.Machine.peer_ids <- [| 1 |];
+  let seen = collecting m in
+  Helpers.check_ok "checked clean on CPU 0" (Machine.kread_u64 m va);
+  Alcotest.(check int) "clean on CPU 0" 0 (List.length !seen);
+  (* A raw switch to CPU 1: the TLBs trade places, so the stamp, a sum
+     over every TLB, does not move. *)
+  m.Machine.tlb <- tlb1;
+  m.Machine.peer_tlbs <- [| tlb0 |];
+  m.Machine.peer_ids <- [| 0 |];
+  m.Machine.cur_cpu <- 1;
+  Helpers.check_ok "served from CPU 1's TLB" (Machine.kread_u64 m va);
+  Alcotest.(check (list int)) "CPU 1's stale entry flagged" [ 1 ]
+    (List.map (fun v -> v.Coherence.v_cpu) !seen)
+
 let test_api_lifecycle_clean_under_oracle () =
   let m, nk, f0 = setup () in
   Api.Diagnostics.Coherence.enable nk;
@@ -250,6 +317,10 @@ let suite =
       test_flags_stale_peer_entry;
     Alcotest.test_case "violations name the CPU" `Quick
       test_violation_names_the_cpu;
+    Alcotest.test_case "memo keyed on the CR3 root" `Quick
+      test_memo_keyed_on_root;
+    Alcotest.test_case "memo keyed on the ASID" `Quick test_memo_keyed_on_asid;
+    Alcotest.test_case "memo kept per CPU" `Quick test_memo_per_cpu;
     Alcotest.test_case "API lifecycle clean under the oracle" `Quick
       test_api_lifecycle_clean_under_oracle;
     Alcotest.test_case "oracle off costs zero cycles" `Quick

@@ -62,6 +62,36 @@ let test_detects_undeclared_table_link () =
   (* The splice also bypassed the reverse map. *)
   Alcotest.(check bool) "RMAP flagged" true (violated nk "RMAP")
 
+(* A raw store can name a frame past the end of memory.  The audit
+   reports it under the invariant it breaks and neither walks nor
+   indexes past memory (the booted machine has 2048 frames). *)
+let beyond_memory = 1_000_000
+
+let test_cr3_outside_memory () =
+  let m, nk = Helpers.booted_nk () in
+  m.Machine.cr.Cr.cr3 <- Addr.pa_of_frame beyond_memory;
+  Alcotest.(check bool) "I6 flagged" true (violated nk "I6")
+
+let test_link_outside_memory () =
+  let m, nk = Helpers.booted_nk () in
+  Page_table.set_entry m.Machine.mem ~ptp:nk.State.root_pml4 ~index:5
+    (Pte.make ~frame:beyond_memory Pte.kernel_rw);
+  Alcotest.(check bool) "I4 flagged" true (violated nk "I4")
+
+let test_leaf_outside_memory () =
+  let m, nk = Helpers.booted_nk () in
+  let root = nk.State.root_pml4 in
+  (match
+     Page_table.walk m.Machine.mem ~root
+       (Addr.kva_of_frame (Api.outer_first_frame nk))
+   with
+  | Page_table.Mapped w ->
+      Page_table.set_entry m.Machine.mem ~ptp:w.Page_table.leaf_ptp
+        ~index:w.Page_table.leaf_index
+        (Pte.make ~frame:beyond_memory Pte.kernel_rw_nx)
+  | Page_table.Not_mapped _ -> Alcotest.fail "dmap leaf missing");
+  Alcotest.(check bool) "RMAP flagged" true (violated nk "RMAP")
+
 let test_detects_smm_theft () =
   let m, nk = Helpers.booted_nk () in
   m.Machine.smm_owner <- Machine.Smm_unprotected;
@@ -157,6 +187,12 @@ let suite =
       test_detects_writable_ptp_mapping;
     Alcotest.test_case "detects undeclared link (I4)" `Quick
       test_detects_undeclared_table_link;
+    Alcotest.test_case "CR3 outside memory reported (I6)" `Quick
+      test_cr3_outside_memory;
+    Alcotest.test_case "link outside memory reported (I4)" `Quick
+      test_link_outside_memory;
+    Alcotest.test_case "leaf outside memory reported (RMAP)" `Quick
+      test_leaf_outside_memory;
     Alcotest.test_case "detects SMM theft (I10)" `Quick test_detects_smm_theft;
     Alcotest.test_case "SMM restore clears I10" `Quick
       test_smm_restore_clears_i10;

@@ -85,6 +85,26 @@ let test_iter_tree () =
   Alcotest.(check int) "leaves" 2 !leaves;
   Alcotest.(check int) "links (pdpt, pd, pt)" 3 !links
 
+let test_tables_outside_memory () =
+  let mem, root, _ = setup () in
+  let va = Addr.make_va ~pml4:5 ~pdpt:0 ~pd:0 ~pt:0 ~offset:0 in
+  Page_table.set_entry mem ~ptp:root ~index:5 (Pte.make ~frame:64 Pte.kernel_rw);
+  (match Page_table.walk mem ~root va with
+  | Page_table.Not_mapped { level } ->
+      Alcotest.(check int) "walk stops at the missing table" 3 level
+  | Page_table.Mapped _ -> Alcotest.fail "unexpected mapping");
+  (match Page_table.walk mem ~root:64 va with
+  | Page_table.Not_mapped { level } ->
+      Alcotest.(check int) "root outside memory" 4 level
+  | Page_table.Mapped _ -> Alcotest.fail "unexpected mapping");
+  let seen = ref [] in
+  Page_table.iter_tree mem ~root (fun ~ptp:_ ~index ~level:_ pte ->
+      seen := (index, Pte.frame pte) :: !seen);
+  Alcotest.(check (list (pair int int))) "link passed, not descended"
+    [ (5, 64) ] !seen;
+  Page_table.iter_tree mem ~root:64 (fun ~ptp:_ ~index:_ ~level:_ _ ->
+      Alcotest.fail "a root outside memory has no entries")
+
 let test_iter_user_leaves_skips_kernel () =
   let mem, root, alloc_ptp = setup () in
   Pt_builder.map_page mem ~root ~alloc_ptp 0x5000 (Pte.make ~frame:7 Pte.user_rw_nx);
@@ -176,6 +196,7 @@ let suite =
     Alcotest.test_case "2 MiB page" `Quick test_large_page;
     Alcotest.test_case "entry_pa bounds" `Quick test_entry_pa_bounds;
     Alcotest.test_case "iter_tree" `Quick test_iter_tree;
+    Alcotest.test_case "tables outside memory" `Quick test_tables_outside_memory;
     Alcotest.test_case "iter_user_leaves skips kernel half" `Quick
       test_iter_user_leaves_skips_kernel;
     prop_map_then_translate;

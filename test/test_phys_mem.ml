@@ -109,10 +109,24 @@ let test_store_into_untouched_neighbour () =
     (Phys_mem.read_u64 mem (0x20000 - 4));
   check_untouched_zero mem ~touched:[ 15; 16; 31; 32 ]
 
+let raises_phys_mem name f =
+  match f () with
+  | () -> Alcotest.failf "%s: no exception" name
+  | exception Invalid_argument msg ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s names Phys_mem (%s)" name msg)
+        true
+        (String.length msg >= 8 && String.sub msg 0 8 = "Phys_mem")
+
 let test_untouched_zero_and_copy () =
   let mem = Phys_mem.create ~frames:48 in
+  let untouched name f expect =
+    Alcotest.(check bool) name expect (Phys_mem.untouched mem f)
+  in
+  untouched "fresh frame" 20 true;
   Phys_mem.zero_frame mem 20;
   Alcotest.(check bool) "zeroing an untouched frame" true (frame_is_zero mem 20);
+  untouched "untouched after zero_frame" 20 true;
   Phys_mem.write_u64 mem ((21 * 4096) + 8) 99;
   Phys_mem.frame_copy mem ~src:40 ~dst:21;
   Alcotest.(check bool) "untouched source zeroes a stored-into destination"
@@ -120,13 +134,32 @@ let test_untouched_zero_and_copy () =
   Phys_mem.frame_copy mem ~src:40 ~dst:41;
   Alcotest.(check bool) "untouched source, untouched destination" true
     (frame_is_zero mem 41);
+  untouched "untouched after a copy from an untouched source" 41 true;
+  untouched "the copy's source stays untouched" 40 true;
   Phys_mem.write_u64 mem ((21 * 4096) + 16) 7;
   Phys_mem.frame_copy mem ~src:21 ~dst:42;
   Alcotest.(check int) "stored-into source, untouched destination" 7
     (Phys_mem.read_u64 mem ((42 * 4096) + 16));
+  untouched "a copy from a stored-into source" 42 false;
   Phys_mem.zero_frame mem 42;
   Alcotest.(check bool) "zeroing a stored-into frame" true (frame_is_zero mem 42);
-  check_untouched_zero mem ~touched:[ 21 ]
+  check_untouched_zero mem ~touched:[ 21 ];
+  (* Any store reaches its frame, a store of zeros included. *)
+  Phys_mem.write_u8 mem (30 * 4096) 0;
+  untouched "zero byte stored" 30 false;
+  Phys_mem.write_u64 mem ((31 * 4096) + 8) 0;
+  untouched "zero word stored" 31 false;
+  Phys_mem.write_u64 mem ((33 * 4096) - 4) 0;
+  untouched "zero word straddling into the next frame" 32 false;
+  untouched "zero word straddling from the previous frame" 33 false;
+  Phys_mem.write_bytes mem ((34 * 4096) + 100) (Bytes.make 8 '\000');
+  untouched "zero bytes stored" 34 false;
+  untouched "neighbours stay untouched" 29 true;
+  untouched "neighbours stay untouched" 35 true;
+  raises_phys_mem "untouched past the end" (fun () ->
+      ignore (Phys_mem.untouched mem 48));
+  raises_phys_mem "untouched of a negative frame" (fun () ->
+      ignore (Phys_mem.untouched mem (-1)))
 
 let test_writes_stamp () =
   let mem = Phys_mem.create ~frames:80 in
@@ -152,15 +185,6 @@ let test_writes_stamp () =
   ignore (Phys_mem.read_u64 mem 8);
   ignore (Phys_mem.read_bytes mem 0 0x11000);
   Alcotest.(check int) "reads store nothing" w (Phys_mem.writes mem)
-
-let raises_phys_mem name f =
-  match f () with
-  | () -> Alcotest.failf "%s: no exception" name
-  | exception Invalid_argument msg ->
-      Alcotest.(check bool)
-        (Printf.sprintf "%s names Phys_mem (%s)" name msg)
-        true
-        (String.length msg >= 8 && String.sub msg 0 8 = "Phys_mem")
 
 let test_frame_ops_out_of_range () =
   let mem = Phys_mem.create ~frames:2 in
