@@ -393,8 +393,10 @@ let vocab_ops cfg u =
 
 type fp = int * int
 
-let fp_lane1 h x = (h lxor x) * 0x100000001b3 land max_int
-let fp_lane2 h x = ((h + x + 1) * 0x27d4eb2f165667c5 + 0x9e3779b9) land max_int
+let lane1_mul = 0x100000001b3
+let lane2_mul = 0x27d4eb2f165667c5
+let fp_lane1 h x = (h lxor x) * lane1_mul land max_int
+let fp_lane2 h x = ((h + x + 1) * lane2_mul + 0x9e3779b9) land max_int
 
 let fp_mix (h1, h2) x =
   let x = x land max_int in
@@ -415,6 +417,58 @@ let zero_frame_jump =
   in
   let add2 = fold fp_lane2 0 in
   (fold fp_lane1 1, (fold fp_lane2 1 - add2) land max_int, add2)
+
+(* Lane 2 is affine in each word, h -> Q*h + Q*x + c, so folding the
+   512 words x_i of a frame gives Q^512*h + K + sum Q^(512-i)*x_i,
+   with Q^512 and K the jump's [mul2] and [add2]: a dot product with
+   [lane2_pow.(k)] = Q^k, independent of lane 1's serial chain. *)
+let lane2_pow =
+  let n = Addr.entries_per_table in
+  let p = Array.make (n + 1) 1 in
+  for k = 1 to n do
+    p.(k) <- p.(k - 1) * lane2_mul
+  done;
+  p
+
+(* The bounded memory image, frames [0 .. hi], folded into both lanes
+   through two local ints, with no pair allocated per word.  A frame no
+   store has reached is jumped; a touched one takes lane 1 word by word
+   and lane 2 as the dot product.  Both lanes are masked once per
+   frame: mod 2^62, sums, products and xors of words depend only on
+   their low 62 bits, so the lanes equal a word-by-word [fp_mix] fold
+   ([fp_frames_reference]). *)
+let fp_frames mem ~hi (h1, h2) =
+  let n = Addr.entries_per_table in
+  let mul1, mul2, add2 = zero_frame_jump in
+  let h1 = ref h1 and h2 = ref h2 in
+  for frame = 0 to hi do
+    if Phys_mem.untouched mem frame then begin
+      h1 := !h1 * mul1 land max_int;
+      h2 := ((!h2 * mul2) + add2) land max_int
+    end
+    else begin
+      let a1 = ref !h1 and dot = ref 0 in
+      for index = 0 to n - 1 do
+        let x = Phys_mem.read_table_word mem ~frame ~index in
+        a1 := (!a1 lxor x) * lane1_mul;
+        dot := !dot + (Array.unsafe_get lane2_pow (n - index) * x)
+      done;
+      h1 := !a1 land max_int;
+      h2 := ((!h2 * mul2) + add2 + !dot) land max_int
+    end
+  done;
+  (!h1, !h2)
+
+(* What [fp_frames] computes, by definition: every word of every frame
+   mixed in turn, with neither the jump nor the dot product. *)
+let fp_frames_reference mem ~hi h =
+  let h = ref h in
+  for frame = 0 to hi do
+    for index = 0 to Addr.entries_per_table - 1 do
+      h := fp_mix !h (Phys_mem.read_table_word mem ~frame ~index)
+    done
+  done;
+  !h
 
 let fp_bool h b = fp_mix h (if b then 1 else 0)
 let fp_list h f l = List.fold_left f (fp_mix h (List.length l)) l
@@ -453,33 +507,22 @@ let fp_scope h = function
   | Machine.Asids l -> fp_list h fp_mix l
   | Machine.Cpuset mask -> fp_mix (fp_mix h (-3)) mask
 
-let fingerprint (u : u) : fp =
+(* [~reference] computes the fingerprint by its definition, for the
+   test that pins the fast one to it: the memory fold word by word and
+   every slot of the residency table read. *)
+let fingerprint_with ~reference (u : u) : fp =
   let st = u.st in
   let m = st.State.machine in
   let mem = m.Machine.mem in
-  let h = ref (0x3bf29ce484222325, 0x1e3779b97f4a7c15) in
-  let mix x = h := fp_mix !h x in
   (* Bounded physical memory: the NK region, the playground, and the
-     first pages of the large-leaf span — every frame any op writes.
-     The words are [fp_mix]ed into two local ints, with no pair
-     allocated per word; a frame no store has reached is jumped. *)
+     first pages of the large-leaf span — every frame any op writes. *)
   let hi = u.f_large + 1 in
   if not (Phys_mem.valid_frame mem hi) then invalid_arg "Nkcheck.fingerprint";
-  let mul1, mul2, add2 = zero_frame_jump in
-  let h1 = ref (fst !h) and h2 = ref (snd !h) in
-  for frame = 0 to hi do
-    if Phys_mem.untouched mem frame then begin
-      h1 := !h1 * mul1 land max_int;
-      h2 := ((!h2 * mul2) + add2) land max_int
-    end
-    else
-      for index = 0 to Addr.entries_per_table - 1 do
-        let x = Phys_mem.read_table_word mem ~frame ~index land max_int in
-        h1 := fp_lane1 !h1 x;
-        h2 := fp_lane2 !h2 x
-      done
-  done;
-  h := (!h1, !h2);
+  let h0 = (0x3bf29ce484222325, 0x1e3779b97f4a7c15) in
+  let h =
+    ref (if reference then fp_frames_reference mem ~hi h0 else fp_frames mem ~hi h0)
+  in
+  let mix x = h := fp_mix !h x in
   (* Per-CPU architectural state. *)
   mix (Smp.active u.smp);
   for id = 0 to Smp.cpu_count u.smp - 1 do
@@ -501,8 +544,12 @@ let fingerprint (u : u) : fp =
   h := fp_list !h fp_mix m.Machine.pending_interrupts;
   mix m.Machine.global_residency;
   let res = ref [] in
-  for a = Array.length m.Machine.asid_residency - 1 downto 0 do
-    let mask = m.Machine.asid_residency.(a) in
+  let top =
+    if reference then Array.length m.Machine.asid_residency - 1
+    else m.Machine.max_res_asid
+  in
+  for a = top downto 0 do
+    let mask = Machine.residency m ~asid:a in
     if mask <> 0 then res := (a, mask) :: !res
   done;
   h := fp_list !h (fun h (a, mk) -> fp_mix (fp_mix h a) mk) !res;
@@ -562,6 +609,8 @@ let fingerprint (u : u) : fp =
   h := fp_bool !h st.State.lock_held;
   mix u.inj_mode;
   !h
+
+let fingerprint u = fingerprint_with ~reference:false u
 
 (* --- per-step and shutdown checks --------------------------------- *)
 
@@ -727,7 +776,9 @@ type report = {
   rp_counterexamples : counterexample list;
 }
 
-let run cfg =
+(* [on_fingerprint] sees every universe the search fingerprints, with
+   its fingerprint, before the step checks run. *)
+let explore ~on_fingerprint cfg =
   let visited : (fp, unit) Hashtbl.t = Hashtbl.create 4096 in
   let queue : (string list * int) Queue.t = Queue.create () in
   let transitions = ref 0 in
@@ -756,7 +807,9 @@ let run cfg =
   let u0 = boot_universe ~domains () in
   ignore (drain_oracle u0);
   let names = List.map fst (vocab_ops cfg u0) in
-  Hashtbl.replace visited (fingerprint u0) ();
+  let fp0 = fingerprint u0 in
+  on_fingerprint u0 fp0;
+  Hashtbl.replace visited fp0 ();
   (match step_checks u0 with
   | [] -> ()
   | fails -> record [] fails);
@@ -782,6 +835,7 @@ let run cfg =
                 record ops (exn_fail :: step_checks u)
             | None -> (
                 let fp = fingerprint u in
+                on_fingerprint u fp;
                 match step_checks u with
                 | _ :: _ as fails -> record ops fails
                 | [] ->
@@ -809,6 +863,16 @@ let run cfg =
     rp_truncated = !truncated;
     rp_counterexamples = !cxs;
   }
+
+let run cfg = explore ~on_fingerprint:(fun _ _ -> ()) cfg
+
+let fingerprint_reference_check cfg =
+  let states = ref 0 and differ = ref 0 in
+  ignore
+    (explore cfg ~on_fingerprint:(fun u fp ->
+         incr states;
+         if fingerprint_with ~reference:true u <> fp then incr differ));
+  (!states, !differ)
 
 (* --- counterexample scripts --------------------------------------- *)
 

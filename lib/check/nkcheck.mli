@@ -59,6 +59,13 @@ val run : config -> report
 (** Explore the bound.  Deterministic; a clean run has
     [rp_counterexamples = []] and [rp_truncated = false]. *)
 
+val fingerprint_reference_check : config -> int * int
+(** Test hook: explore [config] as {!run} does and, at every state it
+    fingerprints, recompute the fingerprint by its definition — every
+    memory word mixed in turn, with no zero-frame jump and no lane-2
+    dot product, and every residency slot read.  Returns
+    [(states fingerprinted, disagreements)]. *)
+
 val run_checked : string list -> (int * string) list
 (** Replay an op sequence from a fresh boot with full per-step checks
     and the shutdown check; returns every failure as

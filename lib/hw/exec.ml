@@ -36,12 +36,14 @@ let deliver_trap (m : Machine.t) ~vector ~fault =
 
 (* Fetch up to [max] instruction bytes starting at the CPU's RIP.  The
    first byte requires execute permission; bytes on a subsequent page
-   require execute permission on that page too (checked lazily as we
-   cross).  Returns the gathered bytes, or the fault that stopped the
-   first byte. *)
+   require execute permission on that page too, checked as the window
+   crosses into it.  Every byte of a page shares that page's
+   translation, so each page is translated once and its bytes copied
+   from the frame it maps — the TLB misses and the fault that ends the
+   window are those of a byte-by-byte fetch.  Returns the gathered
+   bytes, or the fault that stopped the first byte. *)
 let fetch_window (m : Machine.t) rip max =
-  let cpu = m.Machine.cpu in
-  let ring = cpu.Cpu_state.ring in
+  let ring = m.Machine.cpu.Cpu_state.ring in
   let fault = m.Machine.mmu_fault in
   let r = Mmu.access_fast m.mem m.cr m.tlb ~ring ~kind:Fault.Exec rip ~fault in
   if r < 0 then Error !fault
@@ -49,17 +51,19 @@ let fetch_window (m : Machine.t) rip max =
     Machine.charge m
       (if r land 1 = 1 then m.costs.Costs.simple_insn
        else m.costs.Costs.simple_insn + m.costs.Costs.tlb_miss_walk);
-    let buf = Buffer.create max in
-    Buffer.add_char buf (Char.chr (Phys_mem.read_u8 m.mem (r lsr 1)));
-    let i = ref 1 and stop = ref false in
-    while (not !stop) && !i < max do
-      let va = rip + !i in
-      let r = Mmu.access_fast m.mem m.cr m.tlb ~ring ~kind:Fault.Exec va ~fault in
-      if r < 0 then stop := true
-      else Buffer.add_char buf (Char.chr (Phys_mem.read_u8 m.mem (r lsr 1)));
-      incr i
+    let buf = Bytes.create max in
+    (* [n] bytes gathered; [r] translates the page holding [rip + n],
+       negative once that page faulted. *)
+    let n = ref 0 and r = ref r in
+    while !n < max && !r >= 0 do
+      let room = Addr.page_size - Addr.page_offset (rip + !n) in
+      let k = if room < max - !n then room else max - !n in
+      Phys_mem.blit_to_bytes m.mem (!r lsr 1) buf !n k;
+      n := !n + k;
+      if !n < max then
+        r := Mmu.access_fast m.mem m.cr m.tlb ~ring ~kind:Fault.Exec (rip + !n) ~fault
     done;
-    Ok (Buffer.to_bytes buf)
+    Ok (if !n = max then buf else Bytes.sub buf 0 !n)
   end
 
 let exec_one (m : Machine.t) : (stop option, Fault.t) result =

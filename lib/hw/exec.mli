@@ -6,6 +6,15 @@
     - every fetch, load and store goes through the MMU with the CPU's
       current ring and the machine's control-register state, so a
       supervisor store to a read-only page faults iff CR0.WP is set;
+    - an instruction is decoded from a fetch window of up to 10 bytes
+      at RIP.  Each page the window touches is translated once, with
+      execute permission, and its bytes are read from the frame that
+      page maps, so an instruction straddling two pages reads the
+      second page's frame, wherever it is.  The window ends at the
+      first page that faults: a short instruction at the end of a page
+      runs when the next page is unmapped, a straddling one decodes
+      truncated and raises #UD.  Only the first page's translation is
+      charged cycles; each page's TLB miss is counted;
     - faults and external interrupts are delivered through the IDT:
       RFLAGS and RIP are pushed on the current stack, IF is cleared and
       control transfers to the handler (instruction-restart semantics

@@ -27,7 +27,7 @@ type t = {
   mutable peer_tlbs : Tlb.t array;
   mutable peer_crs : Cr.t array;
   mutable peer_ids : int array;
-  asid_residency : int array;
+  mutable asid_residency : int array;
   mutable max_res_asid : int;
   mutable global_residency : int;
   mutable res_memo_asid : int;
@@ -50,6 +50,12 @@ type t = {
 
 let msr_efer = 0xC0000080
 
+(* Initial residency-table size: a run notes few ASIDs (the model
+   checker's universe two), so the table starts small and
+   [note_residency] doubles it to cover a larger one, up to the 4 096
+   PCIDs CR3 can name. *)
+let residency_init_slots = 64
+
 let create ?(frames = 8192) ?(costs = Costs.default) () =
   let clock = Clock.create () in
   let trace = Nktrace.create () in
@@ -67,7 +73,7 @@ let create ?(frames = 8192) ?(costs = Costs.default) () =
     peer_tlbs = [||];
     peer_crs = [||];
     peer_ids = [||];
-    asid_residency = Array.make (Cr.max_pcid + 1) 0;
+    asid_residency = Array.make residency_init_slots 0;
     max_res_asid = -1;
     global_residency = 0;
     res_memo_asid = -1;
@@ -122,8 +128,9 @@ let shootdown_notify_targets t =
 
 (* [asid_residency.(asid)] is the bitmask of CPUs that have run under
    that ASID since their last flush of it — a flat array indexed by
-   the 12-bit PCID, so the note is two loads and two stores;
-   [max_res_asid] bounds the sweep a CPU-wide clear must make.
+   the PCID, so the note is two loads and two stores.  It covers the
+   ASIDs noted so far and reads as 0 past its end; [max_res_asid]
+   bounds the sweep a CPU-wide clear must make.
    [global_residency] is the mask of CPUs that may cache global
    entries.  The tables are updated from the access path (memoized per
    (asid, active CPU), so the hot path is two integer compares) and
@@ -137,11 +144,23 @@ let reset_residency_memo t =
   t.res_memo_asid <- -1;
   t.res_memo_cpu <- -1
 
+(* Double the table until it covers [asid]. *)
+let grow_residency t asid =
+  let n = Array.length t.asid_residency in
+  let n' = ref (2 * n) in
+  while asid >= !n' do
+    n' := 2 * !n'
+  done;
+  let a = Array.make !n' 0 in
+  Array.blit t.asid_residency 0 a 0 n;
+  t.asid_residency <- a
+
 let note_residency t =
   if Cr.paging_enabled t.cr then begin
     let asid = Cr.asid t.cr in
     if asid <> t.res_memo_asid || t.cur_cpu <> t.res_memo_cpu then begin
       let bit = 1 lsl t.cur_cpu in
+      if asid >= Array.length t.asid_residency then grow_residency t asid;
       t.asid_residency.(asid) <- t.asid_residency.(asid) lor bit;
       if asid > t.max_res_asid then t.max_res_asid <- asid;
       t.global_residency <- t.global_residency lor bit;
@@ -157,8 +176,10 @@ let note_asid_active t =
   reset_residency_memo t;
   note_residency t
 
-let resident t ~asid cpu = t.asid_residency.(asid) land (1 lsl cpu) <> 0
-let residency t ~asid = t.asid_residency.(asid)
+let residency t ~asid =
+  if asid < Array.length t.asid_residency then t.asid_residency.(asid) else 0
+
+let resident t ~asid cpu = residency t ~asid land (1 lsl cpu) <> 0
 
 (* CPU [cpu] just lost its non-global entries (CR3-reload-style flush):
    drop its bit from every ASID mask; [globals_too] also clears its
@@ -391,7 +412,7 @@ let shootdown_asid t ~asid =
   shoot_peers t ~scope:(Asids [ asid ])
     ~occupied:(fun tlb -> Tlb.holds_asid tlb ~asid)
     ~flush:(fun tlb -> Tlb.flush_asid tlb ~asid);
-  t.asid_residency.(asid) <- 0;
+  if asid < Array.length t.asid_residency then t.asid_residency.(asid) <- 0;
   reset_residency_memo t;
   shootdown_notify_targets t;
   coherence_check t ~op:"shootdown_asid"

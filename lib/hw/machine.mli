@@ -50,11 +50,13 @@ type t = {
           maintains it (refilled in place on context switch) so scoped
           shootdowns can consult residency and report which peers were
           actually IPI'd *)
-  asid_residency : int array;
+  mutable asid_residency : int array;
       (** per-ASID bitmask of CPUs that have run under that ASID since
-          their last flush of it, indexed by the 12-bit PCID; drives
-          ASID-scoped shootdown targeting.  Over-approximation is
-          sound (costs an IPI, never a stale entry) *)
+          their last flush of it, indexed by PCID; drives ASID-scoped
+          shootdown targeting.  Starts at 64 slots and doubles when a
+          larger ASID is noted; read it through {!residency}, which
+          gives 0 past the end.  Over-approximation is sound (costs an
+          IPI, never a stale entry) *)
   mutable max_res_asid : int;
       (** upper bound on ASIDs with a possibly-nonzero residency mask;
           bounds the sweep of CPU-wide clears *)
@@ -179,8 +181,9 @@ val note_asid_active : t -> unit
 
 val residency : t -> asid:int -> int
 (** Current residency bitmask for [asid] (bit [i] = CPU [i]); [0] when
-    no CPU has run it since its last ASID-wide flush.  For tests and
-    diagnostics. *)
+    no CPU has run it since its last ASID-wide flush, or ever.  For
+    tests, diagnostics and the model checker's fingerprint, which
+    reads ASIDs [0 .. max_res_asid]. *)
 
 val coherence_check : t -> op:string -> unit
 (** Fire the installed coherence hook (if any) for a full cross-check

@@ -87,10 +87,27 @@ let trap_gate_code () =
       Ins (Callout callout_trap);
     ]
 
+(* The three routines depend only on [secure_stack_top], and every
+   boot of one layout installs the same bytes (the model checker boots
+   once per transition), so the last assembly is kept and reused when
+   the top matches.  Installing copies the bytes into memory; the kept
+   ones are never written. *)
+let assembled = ref None
+
+let assemble_gates ~secure_stack_top =
+  match !assembled with
+  | Some (top, code) when top = secure_stack_top -> code
+  | _ ->
+      let code =
+        ( Insn.assemble (entry_gate_code ~secure_stack_top),
+          Insn.assemble (exit_gate_code ()),
+          Insn.assemble (trap_gate_code ()) )
+      in
+      assembled := Some (secure_stack_top, code);
+      code
+
 let install mem ~code_base_pa ~code_base_va ~secure_stack_top =
-  let entry = Insn.assemble (entry_gate_code ~secure_stack_top) in
-  let exit_ = Insn.assemble (exit_gate_code ()) in
-  let trap = Insn.assemble (trap_gate_code ()) in
+  let entry, exit_, trap = assemble_gates ~secure_stack_top in
   let entry_off = 0 in
   let exit_off = Bytes.length entry in
   let trap_off = exit_off + Bytes.length exit_ in

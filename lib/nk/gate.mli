@@ -54,6 +54,7 @@ val callout_trap : int
 
 val entry_gate_code : secure_stack_top:Addr.va -> Insn.asm_item list
 val exit_gate_code : unit -> Insn.asm_item list
+val trap_gate_code : unit -> Insn.asm_item list
 (** The instruction sequences, for inspection and tests. *)
 
 val install :
@@ -64,7 +65,9 @@ val install :
   t
 (** Assemble the three routines and write them into physical memory at
     [code_base_pa] (boot-time, pre-paging); their virtual addresses are
-    offsets from [code_base_va]. *)
+    offsets from [code_base_va].  The assembly depends only on
+    [secure_stack_top]; the last one is kept and reused when the top
+    matches. *)
 
 type crossing_error =
   | Unexpected_stop of Exec.stop

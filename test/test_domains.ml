@@ -190,16 +190,23 @@ let test_asid_steal_flushes_before_handout () =
   for _ = lo to hi do
     ignore (Asid_pool.alloc ~domain:1 pool)
   done;
-  (* Mark every tag in the partition TLB-resident somewhere; the steal
-     must shoot the recycled tag down before handing it out. *)
+  (* Mark every tag in the partition TLB-resident on CPU 0 by running
+     under it; the steal must shoot the recycled tag down before
+     handing it out. *)
+  let cr = m.Machine.cr in
+  cr.Cr.cr0 <- Cr.cr0_pe lor Cr.cr0_pg;
+  cr.Cr.cr4 <- Cr.cr4_pcide;
   for a = lo to hi do
-    m.Machine.asid_residency.(a) <- 0b1
+    cr.Cr.cr3 <- Cr.cr3_value ~frame:0 ~pcid:a;
+    Machine.note_asid_active m;
+    Alcotest.(check int) (Printf.sprintf "asid %d resident on CPU 0" a) 0b1
+      (Machine.residency m ~asid:a)
   done;
   let stolen, _ = Option.get (Asid_pool.alloc ~domain:1 pool) in
   Alcotest.(check int)
     (Printf.sprintf "stolen asid %d no longer resident anywhere" stolen)
     0
-    m.Machine.asid_residency.(stolen)
+    (Machine.residency m ~asid:stolen)
 
 let test_credit_starvation_bound () =
   let k = boot ~domains:2 () in

@@ -239,6 +239,93 @@ let test_fuel () =
   Alcotest.check check_stop "spinner runs out of fuel" Exec.Fuel_exhausted
     (Exec.run ~fuel:50 m)
 
+(* Paging on, with [pages] — (va, frame) pairs — mapped supervisor
+   r-x and every other page unmapped.  Page tables take frames from 1
+   up; code frames sit well above them. *)
+let paged_machine pages =
+  let m = Machine.create ~frames:64 () in
+  let next = ref 1 in
+  let alloc_ptp () =
+    let f = !next in
+    incr next;
+    f
+  in
+  let root = alloc_ptp () in
+  List.iter
+    (fun (va, frame) ->
+      Pt_builder.map_page m.Machine.mem ~root ~alloc_ptp va
+        (Pte.make ~frame Pte.kernel_rx))
+    pages;
+  let cr = m.Machine.cr in
+  cr.Cr.cr3 <- Addr.pa_of_frame root;
+  cr.Cr.cr0 <- Cr.cr0_pe lor Cr.cr0_pg lor Cr.cr0_wp;
+  cr.Cr.cr4 <- Cr.cr4_pae;
+  cr.Cr.efer <- Cr.efer_lme lor Cr.efer_nx;
+  m
+
+let page1 = 0x10000
+let page2 = 0x11000
+let straddle_va = page2 - 4
+let imm = 0x1122334455667788
+
+(* A 9-byte [mov rax, imm] starting 4 bytes before the end of [page1],
+   so its last 5 bytes come from [page2]'s frame, followed by [hlt].
+   [page1] maps frame 40 and [page2] frame 50; frame 41, the one
+   physically after frame 40, holds a different instruction, so a
+   fetch that read past the boundary physically would load its
+   immediate instead. *)
+let straddling_program ~second_page_mapped =
+  let pages = (page1, 40) :: (if second_page_mapped then [ (page2, 50) ] else []) in
+  let m = paged_machine pages in
+  let mem = m.Machine.mem in
+  let code = Insn.assemble_raw Insn.[ Mov_ri (RAX, imm); Hlt ] in
+  let split = page2 - straddle_va in
+  let pa f off = Addr.pa_of_frame f + off in
+  Phys_mem.write_bytes mem
+    (pa 40 (Addr.page_size - split))
+    (Bytes.sub code 0 split);
+  Phys_mem.write_bytes mem (pa 50 0) (Bytes.sub code split (Bytes.length code - split));
+  Phys_mem.write_bytes mem (pa 41 0) (Insn.assemble_raw Insn.[ Mov_ri (RAX, 0x99); Hlt ]);
+  m.Machine.cpu.Cpu_state.rip <- straddle_va;
+  m
+
+let test_fetch_straddles_frames () =
+  let m = straddling_program ~second_page_mapped:true in
+  Alcotest.check check_stop "halts" Exec.Halted (run m);
+  Alcotest.(check int) "immediate read through the second page's frame" imm
+    (Cpu_state.get m.Machine.cpu Insn.RAX);
+  Alcotest.(check int) "halted after the hlt on the second page" (page2 + 6)
+    m.Machine.cpu.Cpu_state.rip
+
+let test_fetch_last_byte_next_unmapped () =
+  let m = paged_machine [ (page1, 40) ] in
+  Phys_mem.write_bytes m.Machine.mem
+    (Addr.pa_of_frame 40 + Addr.page_size - 1)
+    (Insn.assemble_raw Insn.[ Hlt ]);
+  m.Machine.cpu.Cpu_state.rip <- page2 - 1;
+  Alcotest.check check_stop "one-byte hlt on the last byte runs" Exec.Halted (run m);
+  Alcotest.(check int) "rip past it" page2 m.Machine.cpu.Cpu_state.rip
+
+(* The window stops at the unmapped page, so the decoder sees a
+   truncated instruction: #UD at its first byte, undeliverable with no
+   IDT loaded. *)
+let test_fetch_straddles_into_unmapped () =
+  let m = straddling_program ~second_page_mapped:false in
+  Alcotest.check check_stop "truncated fetch is #UD"
+    (Exec.Stopped_fault (Fault.Invalid_opcode { va = straddle_va }))
+    (run m)
+
+let test_fetch_straddle_tlb_misses () =
+  let m = straddling_program ~second_page_mapped:true in
+  let tlb = m.Machine.tlb in
+  let misses0 = Tlb.misses tlb in
+  Alcotest.check check_stop "cold run halts" Exec.Halted (run m);
+  Alcotest.(check int) "cold: one miss per page" 2 (Tlb.misses tlb - misses0);
+  m.Machine.cpu.Cpu_state.rip <- straddle_va;
+  let misses1 = Tlb.misses tlb in
+  Alcotest.check check_stop "warm run halts" Exec.Halted (run m);
+  Alcotest.(check int) "warm: no miss" 0 (Tlb.misses tlb - misses1)
+
 let suite =
   [
     Alcotest.test_case "ALU" `Quick test_alu;
@@ -255,4 +342,12 @@ let suite =
     Alcotest.test_case "cli masks interrupts" `Quick test_interrupt_masked_by_cli;
     Alcotest.test_case "mov cr3 flushes TLB" `Quick test_cr3_write_flushes_tlb;
     Alcotest.test_case "fuel bound" `Quick test_fuel;
+    Alcotest.test_case "fetch straddles non-adjacent frames" `Quick
+      test_fetch_straddles_frames;
+    Alcotest.test_case "fetch on a page's last byte, next unmapped" `Quick
+      test_fetch_last_byte_next_unmapped;
+    Alcotest.test_case "fetch straddles into an unmapped page" `Quick
+      test_fetch_straddles_into_unmapped;
+    Alcotest.test_case "straddling fetch TLB misses, cold and warm" `Quick
+      test_fetch_straddle_tlb_misses;
   ]

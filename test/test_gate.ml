@@ -7,6 +7,35 @@ let setup () = Helpers.booted_nk ()
 
 let gate_of (nk : Api.t) = nk.State.gate
 
+(* Installing keeps the last assembly for reuse: every install must
+   still write the bytes its own [secure_stack_top] assembles to,
+   including a return to a top assembled before. *)
+let test_install_reuses_matching_assembly () =
+  let installed_bytes ~top =
+    let mem = Phys_mem.create ~frames:4 in
+    let g =
+      Gate.install mem ~code_base_pa:0x1000 ~code_base_va:0x1000
+        ~secure_stack_top:top
+    in
+    Bytes.to_string (Phys_mem.read_bytes mem 0x1000 g.Gate.code_len)
+  in
+  let fresh ~top =
+    String.concat ""
+      (List.map
+         (fun code -> Bytes.to_string (Insn.assemble code))
+         [
+           Gate.entry_gate_code ~secure_stack_top:top;
+           Gate.exit_gate_code ();
+           Gate.trap_gate_code ();
+         ])
+  in
+  List.iter
+    (fun top ->
+      Alcotest.(check string)
+        (Printf.sprintf "code for top %#x" top)
+        (fresh ~top) (installed_bytes ~top))
+    [ 0x8000; 0x9000; 0x8000 ]
+
 let test_enter_exit_state () =
   let m, nk = setup () in
   let g = gate_of nk in
@@ -213,6 +242,8 @@ let test_gate_cost_calibration () =
 
 let suite =
   [
+    Alcotest.test_case "install reuses a matching assembly" `Quick
+      test_install_reuses_matching_assembly;
     Alcotest.test_case "enter/exit state machine" `Quick test_enter_exit_state;
     Alcotest.test_case "registers preserved" `Quick test_registers_preserved;
     Alcotest.test_case "fast path replays measured cost" `Quick

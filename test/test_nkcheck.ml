@@ -60,6 +60,19 @@ let test_domains_bound_clean () =
     (List.mem "dom-destroy-b" report.Nkcheck.rp_op_names);
   check_counts (103, 325) report
 
+(* The fingerprint jumps untouched frames, folds lane 2 as a dot
+   product and reads residency up to [max_res_asid]: all must give the
+   values the definition gives at every state the search visits.  The
+   pinned counts above cannot see a change that moves every
+   fingerprint alike. *)
+let test_fingerprint_matches_reference () =
+  let states, differ =
+    Nkcheck.fingerprint_reference_check
+      { Nkcheck.default with depth = 2; vocab = Nkcheck.Full }
+  in
+  Alcotest.(check int) "every fingerprinted state compared" 559 states;
+  Alcotest.(check int) "fingerprints equal the reference fold" 0 differ
+
 let test_deterministic () =
   let run () =
     let r = Nkcheck.run { Nkcheck.default with depth = 2 } in
@@ -91,6 +104,8 @@ let suite =
     Alcotest.test_case "depth-2 core bound clean under injection" `Quick
       test_inject_bound_clean;
     Alcotest.test_case "depth-2 full bound is clean" `Quick test_full_bound_clean;
+    Alcotest.test_case "fingerprint equals its reference fold" `Quick
+      test_fingerprint_matches_reference;
     Alcotest.test_case "exploration is deterministic" `Quick test_deterministic;
     Alcotest.test_case "unknown op reported, not crashed" `Quick
       test_unknown_op_reported;

@@ -91,6 +91,37 @@ let test_residency_reset () =
   Alcotest.(check bool) "access re-notes residency" true
     (Machine.residency m ~asid land 1 <> 0)
 
+(* The residency table starts small and grows when a larger ASID is
+   noted.  An ASID never noted reads 0, before the growth or after,
+   and shooting it down is harmless; a mask noted before the growth
+   survives it; a CPU-wide clear reaches the grown slots. *)
+let test_residency_table_grows () =
+  let m = Machine.create ~frames:64 () in
+  let cr = m.Machine.cr in
+  cr.Cr.cr0 <- Cr.cr0_pe lor Cr.cr0_pg;
+  cr.Cr.cr4 <- Cr.cr4_pcide;
+  let run_on ~cpu ~asid =
+    m.Machine.cur_cpu <- cpu;
+    cr.Cr.cr3 <- Cr.cr3_value ~frame:0 ~pcid:asid;
+    Machine.note_asid_active m
+  in
+  let top = Cr.max_pcid in
+  Alcotest.(check int) "never-noted ASID reads 0" 0 (Machine.residency m ~asid:top);
+  Machine.shootdown_asid m ~asid:top;
+  Alcotest.(check int) "still 0 after its shootdown" 0 (Machine.residency m ~asid:top);
+  run_on ~cpu:0 ~asid:1;
+  run_on ~cpu:1 ~asid:top;
+  Alcotest.(check int) "ASID 4095 noted on CPU 1" 0b10 (Machine.residency m ~asid:top);
+  Alcotest.(check int) "earlier mask survives the growth" 0b01
+    (Machine.residency m ~asid:1);
+  Alcotest.(check int) "grown, never-noted ASID reads 0" 0
+    (Machine.residency m ~asid:(top - 1));
+  Machine.shootdown_asid m ~asid:(top - 1);
+  Machine.flush_full m;
+  Alcotest.(check int) "CPU 1's flush clears the grown slot" 0
+    (Machine.residency m ~asid:top);
+  Alcotest.(check int) "and leaves CPU 0's mask" 0b01 (Machine.residency m ~asid:1)
+
 (* A frame parked on the lazy queue gets reused under a different
    ASID: the allocator's reuse barrier must fire before the frame can
    carry the new address space's data, and the original owner's stale
@@ -268,6 +299,8 @@ let suite =
       test_smp_scale_steals;
     Alcotest.test_case "migration mid-batch stays coherent" `Quick
       test_migration_mid_batch;
+    Alcotest.test_case "residency table grows to the noted ASID" `Quick
+      test_residency_table_grows;
     Alcotest.test_case "residency reset on ASID shootdown" `Quick
       test_residency_reset;
     Alcotest.test_case "deferred frame reused by another ASID" `Quick
